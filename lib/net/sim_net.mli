@@ -47,12 +47,11 @@ val no_faults : faults
 (** All zeros: the pre-fault-injection behavior. *)
 
 val create :
-  ?seed:int -> ?datagram_loss:float -> ?faults:faults -> ?indexed:bool ->
-  Clock.t -> t
-(** [datagram_loss] (default 0.0) is the probability, from a seeded PRNG,
-    that any given datagram is silently dropped even without a
-    partition.  [faults] (default {!no_faults}) is the initial global
-    fault spec; see {!set_faults}.
+  ?seed:int -> ?faults:faults -> ?indexed:bool -> Clock.t -> t
+(** [faults] (default {!no_faults}) is the initial global fault spec;
+    see {!set_faults}.  Its [loss] is the probability, from the seeded
+    PRNG, that any given datagram is silently dropped even without a
+    partition.  Raises [Invalid_argument] on a bad spec.
 
     [indexed] (default [true]) selects the queue representation: an
     event queue keyed by delivery tick, so {!pump} touches only ripe

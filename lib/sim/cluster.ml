@@ -220,12 +220,12 @@ let control_rpc raft cp payload =
     else Some (Control_redirect { cr_leader = Raft.leader_hint raft })
   | _ -> None
 
-let create ?(seed = 11) ?(datagram_loss = 0.0) ?(faults = Sim_net.no_faults)
+let create ?(seed = 11) ?(faults = Sim_net.no_faults)
     ?(disk_blocks = 4096) ?(block_size = 1024) ?ninodes ?disk_blocks_for
     ?ninodes_for
     ?(cache_capacity = 256) ?(propagation_delay = 0) ?(prop_delta = true)
     ?(reconcile_period = 100)
-    ?(selection = Logical.Most_recent) ?(journal_blocks = 0) ?gossip ?log_level
+    ?(selection = Logical.Most_recent) ?(journal_blocks = 0) ?gossip
     ?(indexed = true) ?(control = `Gossip) ?(raft = Raft.default_config)
     ?(control_wait = 200) ?health ?(dir_merge = `Legacy)
     ?(resolver = Resolver.Owner_report) ~nhosts () =
@@ -244,11 +244,8 @@ let create ?(seed = 11) ?(datagram_loss = 0.0) ?(faults = Sim_net.no_faults)
       members
   in
   let clock = Clock.create () in
-  let net = Sim_net.create ~seed ~datagram_loss ~faults ~indexed clock in
+  let net = Sim_net.create ~seed ~faults ~indexed clock in
   let obs = Obs.create () in
-  (match log_level with
-   | None -> ()
-   | Some level -> Obs.install_reporter ~level ~now:(Clock.fn clock) ());
   let name_to_id = Hashtbl.create 8 in
   let name_to_index = Hashtbl.create 8 in
   let t =

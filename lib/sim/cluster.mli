@@ -14,7 +14,6 @@ type t
 
 val create :
   ?seed:int ->
-  ?datagram_loss:float ->
   ?faults:Sim_net.faults ->
   ?disk_blocks:int ->
   ?block_size:int ->
@@ -28,7 +27,6 @@ val create :
   ?selection:Logical.selection ->
   ?journal_blocks:int ->
   ?gossip:Gossip.config ->
-  ?log_level:Logs.level ->
   ?indexed:bool ->
   ?control:[ `Gossip | `Raft of int list ] ->
   ?raft:Raft.config ->
@@ -40,9 +38,8 @@ val create :
 (** Hosts are named ["host0"], ["host1"], ….  All parameters are shared
     by every host.  [journal_blocks] (default 0) formats each host's UFS
     with a write-ahead journal of that size; the group-commit flush
-    daemon is then driven by {!tick_daemons}.  [log_level] installs the
-    shared {!Obs.reporter} (host-tagged, simulated-time-stamped) at that
-    level; by default logging is left alone.
+    daemon is then driven by {!tick_daemons}.  Logging is left alone;
+    [Obs.install_reporter ~now:(Clock.fn (clock c)) ()] turns it on.
 
     [prop_delta] (default [true]) is forwarded to every host's
     {!Propagation.create} [?delta]: [false] forces whole-file fetches on

@@ -1,8 +1,16 @@
+type metric =
+  | Int of int
+  | Float of float * int
+  | Bool of bool
+  | Str of string
+  | Obj of (string * metric) list
+
 type verdict = {
   experiment : string;
   claim : string;
   holds : bool;
   detail : string;
+  metrics : (string * metric) list;
 }
 
 let ( let* ) = Result.bind
@@ -11,9 +19,9 @@ let get = function
   | Ok v -> v
   | Error e -> failwith ("experiment setup failed: " ^ Errno.to_string e)
 
-let verdict experiment claim holds detail =
+let verdict ?(metrics = []) experiment claim holds detail =
   Printf.printf "  => %s: %s (%s)\n%!" experiment (if holds then "HOLDS" else "DOES NOT HOLD") detail;
-  { experiment; claim; holds; detail }
+  { experiment; claim; holds; detail; metrics }
 
 (* ------------------------------------------------------------------ *)
 (* E1: layer-crossing cost (paper §6)                                  *)
@@ -1274,18 +1282,6 @@ let wal_crash_sweep () =
 (* ------------------------------------------------------------------ *)
 (* OBSLAG: cluster-wide propagation lag from causal span data          *)
 
-type lag_metrics = {
-  lm_spans : int;
-  lm_lag_p50 : int;
-  lm_lag_p95 : int;
-  lm_lag_p99 : int;
-  lm_per_replica : (string * (int * int * int)) list;
-  lm_journal_flushes : int;
-  lm_journal_txns : int;
-}
-
-let last_lag_metrics : lag_metrics option ref = ref None
-
 let obslag_propagation_lag () =
   let cluster =
     Cluster.create ~selection:Logical.Prefer_local ~journal_blocks:256
@@ -1312,12 +1308,12 @@ let obslag_propagation_lag () =
     ignore (Cluster.tick_daemons cluster 1)
   done;
   let snap = Cluster.metrics_snapshot cluster in
-  let metrics = snap.Cluster.ms_metrics in
+  let ms = snap.Cluster.ms_metrics in
   let hist name =
-    List.find_opt (fun h -> h.Metrics.hs_name = name) metrics.Metrics.snap_hists
+    List.find_opt (fun h -> h.Metrics.hs_name = name) ms.Metrics.snap_hists
   in
   let gauge name =
-    match List.assoc_opt name metrics.Metrics.snap_gauges with Some v -> v | None -> 0
+    match List.assoc_opt name ms.Metrics.snap_gauges with Some v -> v | None -> 0
   in
   let replica_rows =
     List.filter_map
@@ -1365,33 +1361,35 @@ let obslag_propagation_lag () =
   in
   let lag1 = hist "prop.lag.host1" and lag2 = hist "prop.lag.host2" in
   let p50 h = match h with Some h -> h.Metrics.hs_p50 | None -> 0 in
-  (match hist "prop.lag" with
-   | Some h ->
-     last_lag_metrics :=
-       Some
-         {
-           lm_spans = List.length snap.Cluster.ms_spans;
-           lm_lag_p50 = h.Metrics.hs_p50;
-           lm_lag_p95 = h.Metrics.hs_p95;
-           lm_lag_p99 = h.Metrics.hs_p99;
-           lm_per_replica =
-             List.filter_map
-               (fun host ->
-                 Option.map
-                   (fun h -> (host, (h.Metrics.hs_p50, h.Metrics.hs_p95, h.Metrics.hs_p99)))
-                   (hist ("prop.lag." ^ host)))
-               [ "host1"; "host2" ];
-           lm_journal_flushes = gauge "journal.flushes";
-           lm_journal_txns = gauge "journal.txns";
-         }
-   | None -> last_lag_metrics := None);
+  let percentiles h =
+    [ ("lag_p50", Int h.Metrics.hs_p50); ("lag_p95", Int h.Metrics.hs_p95);
+      ("lag_p99", Int h.Metrics.hs_p99) ]
+  in
+  let metrics =
+    match hist "prop.lag" with
+    | None -> []
+    | Some h ->
+      (("spans", Int (List.length snap.Cluster.ms_spans)) :: percentiles h)
+      @ [
+          ( "per_replica",
+            Obj
+              (List.filter_map
+                 (fun host ->
+                   Option.map
+                     (fun h -> (host, Obj (percentiles h)))
+                     (hist ("prop.lag." ^ host)))
+                 [ "host1"; "host2" ]) );
+          ("journal_flushes", Int (gauge "journal.flushes"));
+          ("journal_txns", Int (gauge "journal.txns"));
+        ]
+  in
   let holds =
     replica_rows <> [] && lag1 <> None && lag2 <> None
     && p50 lag2 > p50 lag1 (* the partitioned replica's lag spans the outage *)
     && full_timeline
     && gauge "journal.flushes" >= 1
   in
-  verdict "OBSLAG"
+  verdict ~metrics "OBSLAG"
     "span data yields per-replica propagation lag; one snapshot reconstructs an update's full timeline"
     holds
     (Printf.sprintf
@@ -1402,14 +1400,6 @@ let obslag_propagation_lag () =
 
 (* ------------------------------------------------------------------ *)
 (* RECONSCALE: incremental reconciliation RPC cost                     *)
-
-type recon_metrics = {
-  rm_full_rpcs : int;
-  rm_incr_rpcs : int;
-  rm_pruned : int;
-}
-
-let last_recon_metrics : recon_metrics option ref = ref None
 
 let reconscale_incremental_recon () =
   let cluster =
@@ -1464,13 +1454,14 @@ let reconscale_incremental_recon () =
     && counter "recon.pruned_subtrees" > 0
     && counter "prop.pull.file" > 0
   in
-  last_recon_metrics :=
-    Some
-      {
-        rm_full_rpcs = full.Reconcile.rpcs;
-        rm_incr_rpcs = incr.Reconcile.rpcs;
-        rm_pruned = incr.Reconcile.subtrees_pruned + targeted.Reconcile.subtrees_pruned;
-      };
+  let metrics =
+    [
+      ("recon.full_rpcs", Int full.Reconcile.rpcs);
+      ("recon.rpcs", Int incr.Reconcile.rpcs);
+      ( "recon.pruned_subtrees",
+        Int (incr.Reconcile.subtrees_pruned + targeted.Reconcile.subtrees_pruned) );
+    ]
+  in
   Table.print ~title:"RECONSCALE: RPCs for one reconciliation pass, 1024-file quiescent volume"
     ~headers:[ "pass"; "rpcs"; "pruned"; "pulled" ]
     [
@@ -1492,7 +1483,7 @@ let reconscale_incremental_recon () =
     && targeted.Reconcile.rpcs <= 10
     && counters_visible
   in
-  verdict "RECONSCALE"
+  verdict ~metrics "RECONSCALE"
     "summary pruning cuts quiescent reconciliation RPCs >= 10x; a point change costs a handful"
     holds
     (Printf.sprintf
@@ -1502,17 +1493,6 @@ let reconscale_incremental_recon () =
 
 (* ------------------------------------------------------------------ *)
 (* MEMBER: epidemic membership + failure-detector economics            *)
-
-type member_metrics = {
-  mm_rounds_to_converge : int;
-  mm_eager_pushes : int;
-  mm_suspect_events : int;
-  mm_rpcs_skipped_dead : int;
-  mm_failed_rpcs_seed : int;
-  mm_failed_rpcs_gossip : int;
-}
-
-let last_member_metrics : member_metrics option ref = ref None
 
 let member_gossip () =
   let cfg = Gossip.default_config in
@@ -1633,16 +1613,16 @@ let member_gossip () =
   let gossip_failed, suspects, skipped, gossip_ok =
     flaky_arm ~gossip:(Some cfg) ()
   in
-  last_member_metrics :=
-    Some
-      {
-        mm_rounds_to_converge = !rounds;
-        mm_eager_pushes = eager_pushes;
-        mm_suspect_events = suspects;
-        mm_rpcs_skipped_dead = skipped;
-        mm_failed_rpcs_seed = seed_failed;
-        mm_failed_rpcs_gossip = gossip_failed;
-      };
+  let metrics =
+    [
+      ("gossip.rounds_to_converge", Int !rounds);
+      ("gossip.suspect_events", Int suspects);
+      ("prop.rpcs_skipped_dead", Int skipped);
+      ("membership.eager_pushes", Int eager_pushes);
+      ("net.rpc.failed_seed", Int seed_failed);
+      ("net.rpc.failed_gossip", Int gossip_failed);
+    ]
+  in
   Table.print
     ~title:"MEMBER: epidemic membership (16 hosts) + flaky-host economics (4 hosts)"
     ~headers:[ "metric"; "value" ]
@@ -1666,7 +1646,7 @@ let member_gossip () =
     && gossip_failed < seed_failed
     && seed_ok && gossip_ok
   in
-  verdict "MEMBER"
+  verdict ~metrics "MEMBER"
     "membership deltas converge epidemically in O(log n) rounds with zero eager pushes; suspicion cuts wasted RPCs"
     holds
     (Printf.sprintf
@@ -1677,20 +1657,6 @@ let member_gossip () =
 (* ------------------------------------------------------------------ *)
 (* CONSENSUS: gossip-only vs raft-backed control plane under the same  *)
 (* 3-way partition schedule                                            *)
-
-type consensus_metrics = {
-  cn_gossip_divergence_ticks : int;
-  cn_raft_divergence_ticks : int;
-  cn_gossip_rounds_to_agreement : int;
-  cn_raft_rounds_to_agreement : int;
-  cn_raft_leader_changes : int;
-  cn_raft_unavailable_ticks : int;
-  cn_raft_control_ops : int;
-  cn_raft_control_failed : int;
-  cn_data_available : bool;
-}
-
-let last_consensus_metrics : consensus_metrics option ref = ref None
 
 type consensus_arm_result = {
   ca_minority_ok : bool;  (* control op attempted from the 2-host side *)
@@ -1841,20 +1807,20 @@ let consensus_arm ~raft () =
 let consensus_control () =
   let g = consensus_arm ~raft:false () in
   let r = consensus_arm ~raft:true () in
-  last_consensus_metrics :=
-    Some
-      {
-        cn_gossip_divergence_ticks = g.ca_divergence;
-        cn_raft_divergence_ticks = r.ca_divergence;
-        cn_gossip_rounds_to_agreement = g.ca_rounds;
-        cn_raft_rounds_to_agreement = r.ca_rounds;
-        cn_raft_leader_changes = r.ca_leader_changes;
-        cn_raft_unavailable_ticks = r.ca_unavailable;
-        cn_raft_control_ops = r.ca_ops;
-        cn_raft_control_failed = r.ca_failed;
-        cn_data_available =
-          g.ca_writes_ok && r.ca_writes_ok && g.ca_data_ok && r.ca_data_ok;
-      };
+  let metrics =
+    [
+      ("control.divergence_ticks", Int r.ca_divergence);
+      ("control.divergence_ticks_gossip", Int g.ca_divergence);
+      ("rounds_to_agreement", Int r.ca_rounds);
+      ("rounds_to_agreement_gossip", Int g.ca_rounds);
+      ("raft.leader_changes", Int r.ca_leader_changes);
+      ("control.unavailable_ticks", Int r.ca_unavailable);
+      ("control.ops", Int r.ca_ops);
+      ("control.failed_ops", Int r.ca_failed);
+      ( "data_available",
+        Bool (g.ca_writes_ok && r.ca_writes_ok && g.ca_data_ok && r.ca_data_ok) );
+    ]
+  in
   let yn b = if b then "ok" else "FAILED" in
   Table.print
     ~title:
@@ -1896,7 +1862,7 @@ let consensus_control () =
     && List.mem "host5" g.ca_final_hosts
     && List.mem "host3" r.ca_final_hosts
   in
-  verdict "CONSENSUS"
+  verdict ~metrics "CONSENSUS"
     "linearizable control bounds the divergence window optimistic control pays, at the price of minority-side control unavailability — data stays one-copy available in both"
     holds
     (Printf.sprintf
@@ -1906,19 +1872,6 @@ let consensus_control () =
 
 (* ------------------------------------------------------------------ *)
 (* HEALTH: the convergence watchdog under partition vs quiescence      *)
-
-type health_metrics = {
-  hm_divergence_ticks_max : int;
-  hm_staleness_p99 : int;
-  hm_events_degraded : int;
-  hm_events_stuck : int;
-  hm_quiescent_events : int;
-  hm_stuck_span : int;
-  hm_top_daemon : string;
-  hm_top_activations : int;
-}
-
-let last_health_metrics : health_metrics option ref = ref None
 
 (* A 3-host journaled gossip cluster with the watchdog armed on a tight
    schedule (sample every 20 ticks; divergence/staleness degraded at
@@ -2025,18 +1978,18 @@ let health_watchdog () =
   done;
   Cluster.health_sample_now qcluster;
   let quiescent_events = List.length (Cluster.health_events qcluster) in
-  last_health_metrics :=
-    Some
-      {
-        hm_divergence_ticks_max = !max_div;
-        hm_staleness_p99 = staleness_p99;
-        hm_events_degraded = degraded;
-        hm_events_stuck = stuck;
-        hm_quiescent_events = quiescent_events;
-        hm_stuck_span = stuck_span;
-        hm_top_daemon = top_daemon;
-        hm_top_activations = top_activations;
-      };
+  let metrics =
+    [
+      ("health.divergence_ticks_max", Int !max_div);
+      ("health.staleness_p99", Int staleness_p99);
+      ("health.events_degraded", Int degraded);
+      ("health.events_stuck", Int stuck);
+      ("health.quiescent_events", Int quiescent_events);
+      ("health.stuck_span", Int stuck_span);
+      ("profile.top_daemon", Str top_daemon);
+      ("profile.top_activations", Int top_activations);
+    ]
+  in
   Table.print ~title:"HEALTH: convergence watchdog, partitioned vs quiescent arm"
     ~headers:[ "metric"; "value" ]
     [
@@ -2058,7 +2011,7 @@ let health_watchdog () =
     && final_div = 0 && final_stale = 0 && staleness_p99 > 0
     && quiescent_events = 0
   in
-  verdict "HEALTH"
+  verdict ~metrics "HEALTH"
     "the watchdog turns non-convergence into live gauges and span-linked stuck events, with zero false positives when quiescent"
     holds
     (Printf.sprintf
@@ -2068,26 +2021,6 @@ let health_watchdog () =
 
 (* ------------------------------------------------------------------ *)
 (* SCALE: a million-op trace over a 64-host gossip cluster             *)
-
-type scale_metrics = {
-  sm_ops : int;
-  sm_hosts : int;
-  sm_wall_seconds : float;
-  sm_ops_per_sec : float;
-  sm_errors : int;
-  sm_pulls : int;
-  sm_deterministic : bool;
-  sm_linear_ticks_per_sec : float;
-  sm_indexed_ticks_per_sec : float;
-  sm_quiescent_speedup : float;
-  sm_spans_cap : int;
-  sm_spans_live : int;
-  sm_spans_minted : int;
-  sm_trace_spans : int;
-  sm_trace_complete : bool;
-}
-
-let last_scale_metrics : scale_metrics option ref = ref None
 
 (* Knobs the bench harness exposes (--scale-ops/--scale-hosts/
    --scale-floor/--trace-out): CI runs a reduced trace with a throughput
@@ -2338,25 +2271,26 @@ let scale_trace () =
   let linear_tps = scale_quiescent ~nhosts ~indexed:false in
   let indexed_tps = scale_quiescent ~nhosts ~indexed:true in
   let speedup = if linear_tps > 0.0 then indexed_tps /. linear_tps else 0.0 in
-  last_scale_metrics :=
-    Some
-      {
-        sm_ops = ops;
-        sm_hosts = nhosts;
-        sm_wall_seconds = wall;
-        sm_ops_per_sec = ops_per_sec;
-        sm_errors = stats.Workload.tr_errors;
-        sm_pulls = pulls;
-        sm_deterministic = deterministic;
-        sm_linear_ticks_per_sec = linear_tps;
-        sm_indexed_ticks_per_sec = indexed_tps;
-        sm_quiescent_speedup = speedup;
-        sm_spans_cap = tr.st_cap;
-        sm_spans_live = tr.st_live;
-        sm_spans_minted = tr.st_minted;
-        sm_trace_spans = tr.st_file_spans;
-        sm_trace_complete = trace_complete;
-      };
+  let metrics =
+    [
+      ("ops", Int ops);
+      ("hosts", Int nhosts);
+      ("wall_seconds", Float (wall, 3));
+      ("sim_ops_per_sec", Float (ops_per_sec, 1));
+      ("errors", Int stats.Workload.tr_errors);
+      ("pulls", Int pulls);
+      ("deterministic", Bool deterministic);
+      ("linear_ticks_per_sec", Float (linear_tps, 1));
+      ("indexed_ticks_per_sec", Float (indexed_tps, 1));
+      ("quiescent_speedup", Float (speedup, 2));
+      ("spans_cap", Int tr.st_cap);
+      ("spans_live", Int tr.st_live);
+      ("spans_minted", Int tr.st_minted);
+      ("trace_spans", Int tr.st_file_spans);
+      ("trace_complete", Bool trace_complete);
+      ("floor", Float (!scale_floor, 1));
+    ]
+  in
   Table.print
     ~title:
       (Printf.sprintf "SCALE: %d-op Zipfian trace, %d hosts, 4 replicas" ops
@@ -2390,7 +2324,7 @@ let scale_trace () =
     && speedup >= 2.0 && trace_complete
     && (!scale_floor <= 0.0 || ops_per_sec >= !scale_floor)
   in
-  verdict "SCALE"
+  verdict ~metrics "SCALE"
     "a seeded million-op trace replays deterministically at scale; indexing makes quiet ticks >= 2x cheaper; capped spans stream to JSONL losslessly"
     holds
     (Printf.sprintf
@@ -2401,19 +2335,6 @@ let scale_trace () =
 
 (* ------------------------------------------------------------------ *)
 (* DELTA: content-defined chunking on the propagation path             *)
-
-type delta_metrics = {
-  dm_file_size : int;
-  dm_whole_bytes : int;
-  dm_delta_bytes : int;
-  dm_ratio : float;
-  dm_saved : int;
-  dm_chunks_hit : int;
-  dm_chunks_miss : int;
-  dm_digests_equal : bool;
-}
-
-let last_delta_metrics : delta_metrics option ref = ref None
 
 (* Deterministic full-entropy contents (an MD5 counter stream):
    identical in both arms, with no short period, so every chunk digest
@@ -2483,18 +2404,18 @@ let delta_propagation () =
   (* Both arms must converge to the same bits: each replica pair agrees,
      and the two arms agree with each other (same seed, same edit). *)
   let digests_equal = w_d0 = w_d1 && d_d0 = d_d1 && w_d0 = d_d0 in
-  last_delta_metrics :=
-    Some
-      {
-        dm_file_size = size;
-        dm_whole_bytes = w_bytes;
-        dm_delta_bytes = d_bytes;
-        dm_ratio = ratio;
-        dm_saved = d_saved;
-        dm_chunks_hit = d_hit;
-        dm_chunks_miss = d_miss;
-        dm_digests_equal = digests_equal;
-      };
+  let metrics =
+    [
+      ("file_size", Int size);
+      ("prop.bytes_whole", Int w_bytes);
+      ("prop.bytes", Int d_bytes);
+      ("prop.bytes_saved", Int d_saved);
+      ("prop.chunks_hit", Int d_hit);
+      ("prop.chunks_miss", Int d_miss);
+      ("delta.ratio", Float (ratio, 1));
+      ("digests_equal", Bool digests_equal);
+    ]
+  in
   Table.print
     ~title:
       (Printf.sprintf
@@ -2519,7 +2440,7 @@ let delta_propagation () =
     && w_delta_pulls = 0
     && d_hit > d_miss (* most chunks resolved locally, only the edit travelled *)
   in
-  verdict "DELTA"
+  verdict ~metrics "DELTA"
     "a one-block edit ships chunks, not the file: >= 20x fewer bytes than the whole-copy baseline, same final bits"
     holds
     (Printf.sprintf
@@ -2529,23 +2450,6 @@ let delta_propagation () =
 (* ------------------------------------------------------------------ *)
 (* MERGE: CRDT directory-merge vs. the legacy OR-set under adversarial
    renames (DESIGN.md §11)                                             *)
-
-type merge_metrics = {
-  gm_crdt_converged : bool;
-  gm_crdt_digest_equal : bool;
-  gm_crdt_unreachable : int;
-  gm_crdt_cycles : int;
-  gm_cycles_broken : int;
-  gm_orphans_attached : int;
-  gm_losers_demoted : int;
-  gm_crdt_payload_kept : bool;
-  gm_legacy_converged : bool;
-  gm_legacy_digest_equal : bool;
-  gm_legacy_payload_kept : bool;
-  gm_legacy_conflicts : int;
-}
-
-let last_merge_metrics : merge_metrics option ref = ref None
 
 (* One arm: a 2-host volume driven through the directory-merge
    pathologies — a cross-rename cycle (a -> b/x while b -> a/y), a
@@ -2646,22 +2550,22 @@ let merge_repair () =
   let cycles_broken = c_counter "crdt.cycles_broken" in
   let orphans_attached = c_counter "crdt.orphans_attached" in
   let losers_demoted = c_counter "crdt.losers_demoted" in
-  last_merge_metrics :=
-    Some
-      {
-        gm_crdt_converged = c_conv;
-        gm_crdt_digest_equal = equal2 c_digests;
-        gm_crdt_unreachable = unreachable;
-        gm_crdt_cycles = cycles;
-        gm_cycles_broken = cycles_broken;
-        gm_orphans_attached = orphans_attached;
-        gm_losers_demoted = losers_demoted;
-        gm_crdt_payload_kept = c_kept;
-        gm_legacy_converged = l_conv;
-        gm_legacy_digest_equal = equal2 l_digests;
-        gm_legacy_payload_kept = l_kept;
-        gm_legacy_conflicts = l_conflicts;
-      };
+  let metrics =
+    [
+      ("merge.converged", Bool c_conv);
+      ("merge.digest_equal", Bool (equal2 c_digests));
+      ("crdt.unreachable_dirs", Int unreachable);
+      ("crdt.cycles", Int cycles);
+      ("crdt.cycles_broken", Int cycles_broken);
+      ("crdt.orphans", Int orphans_attached);
+      ("crdt.losers_demoted", Int losers_demoted);
+      ("merge.payload_kept", Bool c_kept);
+      ("legacy.converged", Bool l_conv);
+      ("legacy.digest_equal", Bool (equal2 l_digests));
+      ("legacy.payload_kept", Bool l_kept);
+      ("legacy.conflicts", Int l_conflicts);
+    ]
+  in
   Table.print
     ~title:"MERGE: adversarial rename/delete/cycle schedule, legacy vs. CRDT repair"
     ~headers:[ "check"; "legacy"; "CRDT" ]
@@ -2688,7 +2592,7 @@ let merge_repair () =
     && losers_demoted > 0
     && l_conflicts >= 1
   in
-  verdict "MERGE"
+  verdict ~metrics "MERGE"
     "CRDT tree repair converges adversarial rename schedules: no orphaned subtrees, no cycles, equal digests, nothing silently lost"
     holds
     (Printf.sprintf
@@ -2697,40 +2601,273 @@ let merge_repair () =
        orphans_attached losers_demoted l_conflicts)
 
 (* ------------------------------------------------------------------ *)
+(* Registry: each experiment's runner next to the metric keys it
+   reports, which are the JSON schema of its entry in the artifact.    *)
+
+type entry = {
+  name : string;
+  run : unit -> verdict;
+  smoke : bool;
+  keys : string list;
+}
 
 let registry =
+  let lag = [ "lag_p50"; "lag_p95"; "lag_p99" ] in
   [
-    ("e1", e1_layer_crossing);
-    ("e2", e2_cold_open);
-    ("e3", e3_warm_open);
-    ("e4", e4_availability);
-    ("e5", e5_propagation);
-    ("e6", e6_reconciliation);
-    ("e7", e7_conflict_rarity);
-    ("e8", e8_shadow_commit);
-    ("e9", e9_open_close_encoding);
-    ("e10", e10_autograft);
-    ("f2", f2_layer_placement);
-    ("a1", a1_reconciliation_topology);
-    ("a2", a2_tombstone_gc);
-    ("a3", a3_selection_policy);
-    ("a4", a4_trace_overhead);
-    ("a5", a5_journal_io);
-    ("chaos", chaos_convergence);
-    ("wal", wal_crash_sweep);
-    ("obslag", obslag_propagation_lag);
-    ("reconscale", reconscale_incremental_recon);
-    ("member", member_gossip);
-    ("consensus", consensus_control);
-    ("health", health_watchdog);
-    ("delta", delta_propagation);
-    ("merge", merge_repair);
-    ("scale", scale_trace);
+    { name = "e1"; run = e1_layer_crossing; smoke = false; keys = [] };
+    { name = "e2"; run = e2_cold_open; smoke = true; keys = [] };
+    { name = "e3"; run = e3_warm_open; smoke = true; keys = [] };
+    { name = "e4"; run = e4_availability; smoke = true; keys = [] };
+    { name = "e5"; run = e5_propagation; smoke = false; keys = [] };
+    { name = "e6"; run = e6_reconciliation; smoke = true; keys = [] };
+    { name = "e7"; run = e7_conflict_rarity; smoke = false; keys = [] };
+    { name = "e8"; run = e8_shadow_commit; smoke = false; keys = [] };
+    { name = "e9"; run = e9_open_close_encoding; smoke = true; keys = [] };
+    { name = "e10"; run = e10_autograft; smoke = true; keys = [] };
+    { name = "f2"; run = f2_layer_placement; smoke = true; keys = [] };
+    { name = "a1"; run = a1_reconciliation_topology; smoke = true; keys = [] };
+    { name = "a2"; run = a2_tombstone_gc; smoke = false; keys = [] };
+    { name = "a3"; run = a3_selection_policy; smoke = true; keys = [] };
+    { name = "a4"; run = a4_trace_overhead; smoke = false; keys = [] };
+    { name = "a5"; run = a5_journal_io; smoke = true; keys = [] };
+    { name = "chaos"; run = chaos_convergence; smoke = true; keys = [] };
+    { name = "wal"; run = wal_crash_sweep; smoke = true; keys = [] };
+    {
+      name = "obslag";
+      run = obslag_propagation_lag;
+      smoke = true;
+      keys = ("spans" :: lag) @ [ "per_replica"; "journal_flushes"; "journal_txns" ];
+    };
+    {
+      name = "reconscale";
+      run = reconscale_incremental_recon;
+      smoke = true;
+      keys = [ "recon.full_rpcs"; "recon.rpcs"; "recon.pruned_subtrees" ];
+    };
+    {
+      name = "member";
+      run = member_gossip;
+      smoke = true;
+      keys =
+        [ "gossip.rounds_to_converge"; "gossip.suspect_events";
+          "prop.rpcs_skipped_dead"; "membership.eager_pushes";
+          "net.rpc.failed_seed"; "net.rpc.failed_gossip" ];
+    };
+    {
+      name = "consensus";
+      run = consensus_control;
+      smoke = true;
+      keys =
+        [ "control.divergence_ticks"; "control.divergence_ticks_gossip";
+          "rounds_to_agreement"; "rounds_to_agreement_gossip";
+          "raft.leader_changes"; "control.unavailable_ticks"; "control.ops";
+          "control.failed_ops"; "data_available" ];
+    };
+    {
+      name = "health";
+      run = health_watchdog;
+      smoke = true;
+      keys =
+        [ "health.divergence_ticks_max"; "health.staleness_p99";
+          "health.events_degraded"; "health.events_stuck";
+          "health.quiescent_events"; "health.stuck_span"; "profile.top_daemon";
+          "profile.top_activations" ];
+    };
+    {
+      name = "delta";
+      run = delta_propagation;
+      smoke = true;
+      keys =
+        [ "file_size"; "prop.bytes_whole"; "prop.bytes"; "prop.bytes_saved";
+          "prop.chunks_hit"; "prop.chunks_miss"; "delta.ratio"; "digests_equal" ];
+    };
+    {
+      name = "merge";
+      run = merge_repair;
+      smoke = true;
+      keys =
+        [ "merge.converged"; "merge.digest_equal"; "crdt.unreachable_dirs";
+          "crdt.cycles"; "crdt.cycles_broken"; "crdt.orphans";
+          "crdt.losers_demoted"; "merge.payload_kept"; "legacy.converged";
+          "legacy.digest_equal"; "legacy.payload_kept"; "legacy.conflicts" ];
+    };
+    {
+      name = "scale";
+      run = scale_trace;
+      smoke = true;
+      keys =
+        [ "ops"; "hosts"; "wall_seconds"; "sim_ops_per_sec"; "errors"; "pulls";
+          "deterministic"; "linear_ticks_per_sec"; "indexed_ticks_per_sec";
+          "quiescent_speedup"; "spans_cap"; "spans_live"; "spans_minted";
+          "trace_spans"; "trace_complete"; "floor" ];
+    };
   ]
 
-let names = List.map fst registry
+let names = List.map (fun e -> e.name) registry
+let smoke_names = List.filter_map (fun e -> if e.smoke then Some e.name else None) registry
+let find name = List.find_opt (fun e -> e.name = String.lowercase_ascii name) registry
+let same_keys a b = List.sort compare a = List.sort compare b
 
-let run_by_name name =
-  Option.map (fun f -> f ()) (List.assoc_opt (String.lowercase_ascii name) registry)
+(* A verdict whose metrics drift from the declared keys fails: a
+   missing number must not just vanish from the artifact. *)
+let run entry =
+  let v = entry.run () in
+  let got = List.map fst v.metrics in
+  if same_keys got entry.keys then v
+  else
+    verdict ~metrics:v.metrics v.experiment v.claim false
+      (Printf.sprintf "%s; metric keys [%s] differ from the declared [%s]" v.detail
+         (String.concat " " got) (String.concat " " entry.keys))
 
-let all () = List.map (fun (_, f) -> f ()) registry
+let run_by_name name = Option.map run (find name)
+
+(* ------------------------------------------------------------------ *)
+(* The bench JSON artifact (no JSON library in the dependency set)     *)
+
+let schema = "ficus-bench/2"
+
+let json_string s =
+  let buf = Buffer.create (String.length s + 8) in
+  Buffer.add_char buf '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let rec metric_json = function
+  | Int i -> string_of_int i
+  | Float (x, decimals) -> Printf.sprintf "%.*f" decimals x
+  | Bool b -> string_of_bool b
+  | Str s -> json_string s
+  | Obj [] -> "{}"
+  | Obj kvs ->
+    let field (k, v) = json_string k ^ ": " ^ metric_json v in
+    "{ " ^ String.concat ", " (List.map field kvs) ^ " }"
+
+let to_json ~mode verdicts =
+  let line v =
+    metric_json
+      (Obj
+         [ ("experiment", Str v.experiment); ("holds", Bool v.holds);
+           ("claim", Str v.claim); ("detail", Str v.detail);
+           ("metrics", Obj v.metrics) ])
+  in
+  Printf.sprintf
+    "{\n  \"schema\": %s,\n  \"mode\": %s,\n  \"reproduced\": %d,\n  \"total\": %d,\n  \"experiments\": [\n    %s\n  ]\n}\n"
+    (json_string schema) (json_string mode)
+    (List.length (List.filter (fun v -> v.holds) verdicts))
+    (List.length verdicts)
+    (String.concat ",\n    " (List.map line verdicts))
+
+(* A reader for the artifact's structure, enough to check its keys:
+   strings are decoded only as far as escapes go, other scalars are
+   validated and dropped. *)
+type json = Text of string | Lit | Arr of json list | Map of (string * json) list
+
+let parse_json s =
+  let n = String.length s and pos = ref 0 in
+  let rec peek () =
+    if !pos >= n then raise Exit
+    else if String.contains " \t\r\n" s.[!pos] then (incr pos; peek ())
+    else s.[!pos]
+  in
+  let expect c = if peek () = c then incr pos else raise Exit in
+  let text () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then raise Exit;
+      let c = s.[!pos] in
+      incr pos;
+      match c with
+      | '"' -> Buffer.contents buf
+      | '\\' when !pos < n -> Buffer.add_char buf s.[!pos]; incr pos; go ()
+      | c -> Buffer.add_char buf c; go ()
+    in
+    go ()
+  in
+  (* [item (, item)*] up to [close], the opening bracket consumed. *)
+  let items close item =
+    if peek () = close then (incr pos; [])
+    else
+      let rec more () =
+        let x = item () in
+        match peek () with
+        | ',' -> incr pos; x :: more ()
+        | c when c = close -> incr pos; [ x ]
+        | _ -> raise Exit
+      in
+      more ()
+  in
+  let rec value () =
+    match peek () with
+    | '{' -> incr pos; Map (items '}' (fun () -> let k = text () in expect ':'; (k, value ())))
+    | '[' -> incr pos; Arr (items ']' value)
+    | '"' -> Text (text ())
+    | _ ->
+      let start = !pos in
+      while !pos < n && not (String.contains " \t\r\n,]}" s.[!pos]) do incr pos done;
+      let raw = String.sub s start (!pos - start) in
+      if List.mem raw [ "true"; "false"; "null" ] || Float.of_string_opt raw <> None
+      then Lit
+      else raise Exit
+  in
+  match value () with
+  | v -> ( match peek () with _ -> None | exception Exit -> Some v)
+  | exception Exit -> None
+
+let check_schema text =
+  let field obj k =
+    match List.assoc_opt k obj with Some v -> Ok v | None -> Error (Printf.sprintf "missing key %S" k)
+  in
+  let fields obj ks =
+    List.fold_left (fun r k -> let* () = r in Result.map ignore (field obj k)) (Ok ()) ks
+  in
+  let* env = match parse_json text with Some (Map env) -> Ok env | _ -> Error "not a JSON object" in
+  let* () = fields env [ "reproduced"; "total" ] in
+  let* tag = field env "schema" in
+  let* () = if tag = Text schema then Ok () else Error ("schema is not " ^ schema) in
+  let* mode = field env "mode" in
+  let* entries = field env "experiments" in
+  let* entries = match entries with Arr l -> Ok l | _ -> Error "experiments is not an array" in
+  let check_entry e =
+    let* obj = match e with Map o -> Ok o | _ -> Error "an experiment entry is not an object" in
+    let* () = fields obj [ "holds"; "claim"; "detail" ] in
+    let* name = field obj "experiment" in
+    let* entry =
+      match name with
+      | Text n -> Option.to_result ~none:("unknown experiment " ^ n) (find n)
+      | _ -> Error "an experiment name is not a string"
+    in
+    let* metrics = field obj "metrics" in
+    let got = match metrics with Map m -> List.map fst m | _ -> [] in
+    if same_keys got entry.keys then Ok (entry.name, List.length got)
+    else
+      Error
+        (Printf.sprintf "%s: metric keys [%s], declared [%s]" entry.name
+           (String.concat " " got) (String.concat " " entry.keys))
+  in
+  let* checked =
+    List.fold_left
+      (fun r e -> let* acc = r in let* x = check_entry e in Ok (x :: acc))
+      (Ok []) entries
+  in
+  let expected =
+    match mode with
+    | Text "smoke" -> smoke_names
+    | Text "full" -> names
+    | Text m ->
+      List.filter (( <> ) "micro") (String.split_on_char '+' (String.lowercase_ascii m))
+    | _ -> []
+  in
+  if same_keys (List.map fst checked) expected then
+    Ok (List.fold_left (fun acc (_, k) -> acc + k) 0 checked)
+  else Error "the experiments present differ from the ones the mode names"

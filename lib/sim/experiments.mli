@@ -3,11 +3,21 @@
     table and returns a machine-checkable verdict used by the test suite
     and the benchmark harness. *)
 
+type metric =
+  | Int of int
+  | Float of float * int  (** the value, and the decimals it prints with *)
+  | Bool of bool
+  | Str of string
+  | Obj of (string * metric) list
+(** A reported number, as it appears in [bench --json]. *)
+
 type verdict = {
   experiment : string;
   claim : string;     (** the paper's statement being reproduced *)
   holds : bool;       (** whether the measured shape matches *)
   detail : string;    (** the measured numbers, one line *)
+  metrics : (string * metric) list;
+      (** machine-readable numbers; keys as declared in {!registry} *)
 }
 
 val e1_layer_crossing : unit -> verdict
@@ -102,22 +112,6 @@ val wal_crash_sweep : unit -> verdict
     fsck-clean state equal to some committed-op prefix, and any crash
     past the sync's last write must retain every pre-sync op. *)
 
-type lag_metrics = {
-  lm_spans : int;  (** distinct causal spans in the snapshot *)
-  lm_lag_p50 : int;
-  lm_lag_p95 : int;
-  lm_lag_p99 : int;  (** cluster-wide propagation lag, in ticks *)
-  lm_per_replica : (string * (int * int * int)) list;
-      (** host -> (p50, p95, p99) install lag *)
-  lm_journal_flushes : int;
-  lm_journal_txns : int;
-}
-(** Machine-readable summary of the observability experiment, consumed
-    by [bench --json]. *)
-
-val last_lag_metrics : lag_metrics option ref
-(** Filled by {!obslag_propagation_lag}; [None] until it has run. *)
-
 val obslag_propagation_lag : unit -> verdict
 (** Cluster-wide observability: three replicas, one partitioned away
     while the origin keeps writing.  Every update's span must yield a
@@ -128,17 +122,6 @@ val obslag_propagation_lag : unit -> verdict
     heal) must exceed the connected replica's (paid on the notify/pull
     path).  Journal group commits must be attributed to the same spans. *)
 
-type recon_metrics = {
-  rm_full_rpcs : int;   (** RPCs for a full-walk pass, quiescent volume *)
-  rm_incr_rpcs : int;   (** RPCs for the incremental pass, same volume *)
-  rm_pruned : int;      (** subtrees skipped by summary pruning *)
-}
-(** Machine-readable summary of the reconciliation-scaling experiment,
-    consumed by [bench --json]. *)
-
-val last_recon_metrics : recon_metrics option ref
-(** Filled by {!reconscale_incremental_recon}; [None] until it has run. *)
-
 val reconscale_incremental_recon : unit -> verdict
 (** Incremental reconciliation economics: a 1024-file two-replica
     volume, converged and quiescent.  The original full walk pays one
@@ -148,21 +131,6 @@ val reconscale_incremental_recon : unit -> verdict
     prune the rest, and pull exactly that file.  Also asserts the
     consolidated [recon.*] / [prop.*] counters appear in one
     {!Cluster.metrics_snapshot}. *)
-
-type member_metrics = {
-  mm_rounds_to_converge : int;
-      (** post-heal anti-entropy rounds until all views agree *)
-  mm_eager_pushes : int;   (** must stay 0 on a gossip cluster *)
-  mm_suspect_events : int;
-  mm_rpcs_skipped_dead : int;
-  mm_failed_rpcs_seed : int;    (** outage RPC failures, gossip off *)
-  mm_failed_rpcs_gossip : int;  (** same schedule, gossip on *)
-}
-(** Machine-readable summary of the membership experiment, consumed by
-    [bench --json]. *)
-
-val last_member_metrics : member_metrics option ref
-(** Filled by {!member_gossip}; [None] until it has run. *)
 
 val member_gossip : unit -> verdict
 (** Epidemic membership: on a 16-host gossip cluster, a replica added
@@ -176,28 +144,6 @@ val member_gossip : unit -> verdict
     try healthy peers first, so the outage burns measurably fewer
     failed RPCs — while the post-heal converge proves availability was
     never sacrificed. *)
-
-type consensus_metrics = {
-  cn_gossip_divergence_ticks : int;
-      (** ticks during which hosts disagreed on the replica set *)
-  cn_raft_divergence_ticks : int;  (** same measure, raft arm *)
-  cn_gossip_rounds_to_agreement : int;
-      (** post-heal anti-entropy rounds until stable agreement *)
-  cn_raft_rounds_to_agreement : int;
-  cn_raft_leader_changes : int;
-  cn_raft_unavailable_ticks : int;
-      (** ticks control ops spent failing to reach a quorum *)
-  cn_raft_control_ops : int;
-  cn_raft_control_failed : int;
-  cn_data_available : bool;
-      (** both arms kept one-copy data availability through the
-          partition, and every agreed replica converged on all files *)
-}
-(** Machine-readable summary of the control-plane experiment, consumed
-    by [bench --json]. *)
-
-val last_consensus_metrics : consensus_metrics option ref
-(** Filled by {!consensus_control}; [None] until it has run. *)
 
 val consensus_control : unit -> verdict
 (** Control-plane ablation: two identical 8-host clusters run the same
@@ -214,24 +160,6 @@ val consensus_control : unit -> verdict
     data-plane writes succeeding on every partition side — one-copy
     availability never waits for consensus. *)
 
-type health_metrics = {
-  hm_divergence_ticks_max : int;
-      (** peak of the divergence-age gauge while partitioned *)
-  hm_staleness_p99 : int;
-      (** p99 of nonzero staleness samples (health.staleness.ticks) *)
-  hm_events_degraded : int;
-  hm_events_stuck : int;
-  hm_quiescent_events : int;  (** must be 0: no false positives *)
-  hm_stuck_span : int;  (** evidence span on the first stuck event *)
-  hm_top_daemon : string;  (** profiler's top talker by self-time *)
-  hm_top_activations : int;
-}
-(** Machine-readable summary of the health-plane experiment, consumed
-    by [bench --json]. *)
-
-val last_health_metrics : health_metrics option ref
-(** Filled by {!health_watchdog}; [None] until it has run. *)
-
 val health_watchdog : unit -> verdict
 (** The convergence watchdog, two arms on identical 3-host journaled
     gossip clusters with [?health] armed (sample every 20 ticks;
@@ -242,23 +170,6 @@ val health_watchdog : unit -> verdict
     propagate; after the heal a write burst exercises the staleness
     gauge (nonzero p99) and everything must return to exactly 0.
     Quiescent arm: 3000 idle ticks must raise zero events. *)
-
-type delta_metrics = {
-  dm_file_size : int;
-  dm_whole_bytes : int;   (** edit-propagation wire bytes, whole-copy arm *)
-  dm_delta_bytes : int;   (** same edit, chunk-delta arm *)
-  dm_ratio : float;       (** whole / delta *)
-  dm_saved : int;         (** "prop.bytes_saved" in the delta arm *)
-  dm_chunks_hit : int;    (** map chunks resolved from the local copy *)
-  dm_chunks_miss : int;   (** map chunks whose bodies travelled *)
-  dm_digests_equal : bool;
-      (** both replicas in both arms digest to the same final bits *)
-}
-(** Machine-readable summary of the delta-propagation experiment,
-    consumed by [bench --json]. *)
-
-val last_delta_metrics : delta_metrics option ref
-(** Filled by {!delta_propagation}; [None] until it has run. *)
 
 val delta_propagation : unit -> verdict
 (** Content-defined chunking on the propagation path, two arms on
@@ -271,30 +182,6 @@ val delta_propagation : unit -> verdict
     fewer bytes than the baseline, with zero fallbacks, most chunks
     resolved locally, and bit-identical final contents on every
     replica in both arms. *)
-
-type scale_metrics = {
-  sm_ops : int;
-  sm_hosts : int;
-  sm_wall_seconds : float;     (** wall clock of the replay phase *)
-  sm_ops_per_sec : float;
-  sm_errors : int;             (** failed trace ops; must be 0 *)
-  sm_pulls : int;              (** propagation pulls over the whole run *)
-  sm_deterministic : bool;     (** two same-seed replays, identical state *)
-  sm_linear_ticks_per_sec : float;
-  sm_indexed_ticks_per_sec : float;
-  sm_quiescent_speedup : float;  (** indexed / linear, quiescent cluster *)
-  sm_spans_cap : int;          (** span-store retention cap during replay *)
-  sm_spans_live : int;         (** spans resident at end; must be <= cap *)
-  sm_spans_minted : int;       (** spans ever started *)
-  sm_trace_spans : int;        (** spans present in the exported JSONL *)
-  sm_trace_complete : bool;
-      (** live <= cap and the JSONL accounts for every minted span *)
-}
-(** Machine-readable summary of the scale benchmark, consumed by
-    [bench --json]. *)
-
-val last_scale_metrics : scale_metrics option ref
-(** Filled by {!scale_trace}; [None] until it has run. *)
 
 val scale_ops : int ref
 (** Trace length for {!scale_trace} (default 1_000_000).  The bench
@@ -327,28 +214,6 @@ val scale_trace : unit -> verdict
     ticks/sec must be at least twice the linear rate — the before/after
     measurement for the simulator's indexed hot paths. *)
 
-type merge_metrics = {
-  gm_crdt_converged : bool;
-  gm_crdt_digest_equal : bool;
-  gm_crdt_unreachable : int;  (** orphaned subtrees after repair; must be 0 *)
-  gm_crdt_cycles : int;       (** live-tree cycles after repair; must be 0 *)
-  gm_cycles_broken : int;     (** winner-graph cycles the repair cut *)
-  gm_orphans_attached : int;  (** directories re-parented into lost+found *)
-  gm_losers_demoted : int;    (** losing parent links tombstoned *)
-  gm_crdt_payload_kept : bool;
-      (** the file buried in the cross-renamed subtree is still
-          reachable on every replica *)
-  gm_legacy_converged : bool;
-  gm_legacy_digest_equal : bool;
-  gm_legacy_payload_kept : bool;
-  gm_legacy_conflicts : int;  (** conflict-log entries the legacy arm raised *)
-}
-(** Machine-readable summary of the directory-merge experiment,
-    consumed by [bench --json]. *)
-
-val last_merge_metrics : merge_metrics option ref
-(** Filled by {!merge_repair}; [None] until it has run. *)
-
 val merge_repair : unit -> verdict
 (** The CRDT directory-merge subsystem (DESIGN.md §11) against the seed
     OR-set merge, two arms on identical 2-host clusters driven through
@@ -362,8 +227,38 @@ val merge_repair : unit -> verdict
     [`Legacy] arm documents the seed behavior — conflicts are reported
     to the log rather than repaired in place. *)
 
-val all : unit -> verdict list
-(** Run every experiment in order, printing all tables. *)
+(** {1 Registry and JSON artifact} *)
+
+type entry = {
+  name : string;          (** lowercase CLI name *)
+  run : unit -> verdict;
+  smoke : bool;
+      (** in the fast CI subset ([bench --smoke]); E1's timings and the
+          parameter sweeps stay out *)
+  keys : string list;     (** the keys of the verdict's [metrics] *)
+}
+
+val registry : entry list
+(** Every experiment, in run order. *)
 
 val names : string list
+val smoke_names : string list
+
 val run_by_name : string -> verdict option
+(** Run one experiment by (case-insensitive) name.  A verdict whose
+    metric keys differ from the entry's declared [keys] is turned into
+    a failing one. *)
+
+val schema : string
+(** The artifact's schema tag, ["ficus-bench/2"]. *)
+
+val to_json : mode:string -> verdict list -> string
+(** The [bench --json] artifact: an envelope ([schema], [mode],
+    [reproduced], [total]) and an [experiments] array with one verdict
+    object per line, each carrying its own [metrics] object. *)
+
+val check_schema : string -> (int, string) result
+(** Validate an artifact's text: the envelope, the experiment set its
+    [mode] implies ([smoke], [full], or names joined by [+]), and each
+    experiment's declared keys in that experiment's own [metrics].
+    [Ok n] counts the metric keys checked. *)

@@ -54,7 +54,9 @@ let test_partition_drops_datagrams () =
 
 let test_datagram_loss () =
   let clock = Clock.create () in
-  let net = Sim_net.create ~seed:3 ~datagram_loss:1.0 clock in
+  let net =
+    Sim_net.create ~seed:3 ~faults:{ Sim_net.no_faults with loss = 1.0 } clock
+  in
   let a = Sim_net.add_host net "a" in
   let b = Sim_net.add_host net "b" in
   let hits = ref 0 in
@@ -66,6 +68,12 @@ let test_datagram_loss () =
   Alcotest.(check int) "none seen" 0 !hits;
   Alcotest.(check int) "counted as dropped" 10
     (Counters.get (Sim_net.counters net) "net.datagrams.dropped")
+
+let test_loss_out_of_range () =
+  Alcotest.check_raises "loss 1.5" (Invalid_argument "Sim_net: bad fault spec")
+    (fun () ->
+      ignore
+        (Sim_net.create ~faults:{ Sim_net.no_faults with loss = 1.5 } (Clock.create ())))
 
 let test_isolate_and_heal () =
   let _, net, a, b, c = setup () in
@@ -248,6 +256,7 @@ let suite =
     case "datagram delivery order" test_datagram_delivery;
     case "partitions drop datagrams at delivery" test_partition_drops_datagrams;
     case "datagram loss" test_datagram_loss;
+    case "loss outside [0,1] rejected" test_loss_out_of_range;
     case "isolate and heal" test_isolate_and_heal;
     case "unlisted hosts become isolated" test_unlisted_hosts_become_isolated;
     case "rpc roundtrip and errors" test_rpc_roundtrip_and_errors;

@@ -146,7 +146,9 @@ let test_backoff_grows_and_reconciliation_converges () =
 let test_convergence_with_total_notification_loss () =
   (* Notifications are an optimization only: with every datagram lost,
      reconciliation alone must still converge the replicas. *)
-  let cluster = Cluster.create ~nhosts:2 ~datagram_loss:1.0 () in
+  let cluster =
+    Cluster.create ~nhosts:2 ~faults:{ Sim_net.no_faults with loss = 1.0 } ()
+  in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
   let root0 = ok (Cluster.logical_root cluster 0 vref) in
   create_file root0 "a" "1";
