@@ -1,56 +1,68 @@
-(* LRU as a hashtable of entries holding a recency stamp; eviction scans
-   for the minimum stamp.  Capacities here are small (hundreds), and the
-   simulation favours obvious correctness over asymptotics. *)
+(* Exact LRU in O(1): a hashtable from block number to node, the nodes
+   threaded on a circular doubly linked recency list through a per-cache
+   sentinel.  The most recently touched node sits right after the
+   sentinel, the victim right before it — the same block a scan for the
+   oldest access would pick, so hit/miss counts do not depend on which
+   of the two is used. *)
 
-type entry = { buf : bytes; mutable stamp : int }
+type node = {
+  blk : int;
+  buf : bytes;
+  mutable prev : node;
+  mutable next : node;
+}
 
 type t = {
   disk : Disk.t;
   capacity : int;
-  table : (int, entry) Hashtbl.t;
-  mutable tick : int;
+  table : (int, node) Hashtbl.t;
+  lru : node;  (* sentinel: [lru.next] most recent, [lru.prev] victim *)
   mutable hits : int;
   mutable misses : int;
 }
 
 let create ?(capacity = 256) disk =
   if capacity < 0 then invalid_arg "Block_cache.create";
-  { disk; capacity; table = Hashtbl.create (max 16 capacity); tick = 0; hits = 0; misses = 0 }
+  let rec lru = { blk = -1; buf = Bytes.empty; prev = lru; next = lru } in
+  { disk; capacity; table = Hashtbl.create (max 16 capacity); lru; hits = 0; misses = 0 }
 
 let disk t = t.disk
 
-let touch t e =
-  t.tick <- t.tick + 1;
-  e.stamp <- t.tick
+let unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
+
+let push_front t n =
+  n.prev <- t.lru;
+  n.next <- t.lru.next;
+  t.lru.next.prev <- n;
+  t.lru.next <- n
+
+let touch t n =
+  unlink n;
+  push_front t n
 
 let evict_if_full t =
-  if Hashtbl.length t.table >= t.capacity && t.capacity > 0 then begin
-    let victim = ref None in
-    let consider i e =
-      match !victim with
-      | Some (_, best) when best.stamp <= e.stamp -> ()
-      | _ -> victim := Some (i, e)
-    in
-    Hashtbl.iter consider t.table;
-    match !victim with
-    | Some (i, _) -> Hashtbl.remove t.table i
-    | None -> ()
+  if Hashtbl.length t.table >= t.capacity then begin
+    let victim = t.lru.prev in
+    unlink victim;
+    Hashtbl.remove t.table victim.blk
   end
 
-let insert t i buf =
+let insert t blk buf =
   if t.capacity > 0 then begin
     evict_if_full t;
-    let e = { buf; stamp = 0 } in
-    Hashtbl.replace t.table i e;
-    touch t e
+    let rec n = { blk; buf; prev = n; next = n } in
+    Hashtbl.replace t.table blk n;
+    push_front t n
   end
 
 let read t i =
   match Hashtbl.find_opt t.table i with
-  | Some e ->
+  | Some n ->
     t.hits <- t.hits + 1;
-    touch t e;
-    Ok e.buf
+    touch t n;
+    Ok n.buf
   | None ->
     t.misses <- t.misses + 1;
     (match Disk.read t.disk i with
@@ -67,13 +79,16 @@ let write t i buf =
   | Error _ as e -> e
   | Ok () ->
     (match Hashtbl.find_opt t.table i with
-     | Some e ->
-       Bytes.blit buf 0 e.buf 0 (Bytes.length buf);
-       touch t e
+     | Some n ->
+       Bytes.blit buf 0 n.buf 0 (Bytes.length buf);
+       touch t n
      | None -> insert t i (Bytes.copy buf));
     Ok ()
 
-let invalidate t = Hashtbl.reset t.table
+let invalidate t =
+  Hashtbl.reset t.table;
+  t.lru.prev <- t.lru;
+  t.lru.next <- t.lru
 
 let hits t = t.hits
 let misses t = t.misses

@@ -13,7 +13,8 @@ type t
 
 val create : ?capacity:int -> Disk.t -> t
 (** [capacity] is the number of cached blocks (default 256).  A capacity
-    of zero disables caching — every access reaches the device. *)
+    of zero disables caching — every access reaches the device.  A full
+    cache evicts the least recently read or written block, in O(1). *)
 
 val disk : t -> Disk.t
 

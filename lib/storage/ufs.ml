@@ -47,13 +47,23 @@ type superblock = {
   journal_blocks : int;  (* 0 = unjournaled *)
 }
 
+(* A parsed directory: its entries in on-disk order, and the same
+   entries indexed by name (first occurrence wins, as a list scan would). *)
+type dir = {
+  entries : (string * inum * kind) list;
+  index : (string, string * inum * kind) Hashtbl.t;
+}
+
 type t = {
   cache : Block_cache.t;
   sb : superblock;
   bs : int;  (* block size *)
   now : unit -> int;
   journal : Journal.t option;
+  dirs : (inum, dir) Hashtbl.t;  (* parsed-directory cache, see [load_dir] *)
 }
+
+let dir_cache_capacity = 64
 
 type ino = {
   i_kind : int;  (* 0 free, 1 Reg, 2 Dir *)
@@ -109,6 +119,14 @@ let decode_sb b =
       }
 
 (* ------------------------------------------------------------------ *)
+(* Parsed-directory cache                                              *)
+
+(* Every write path that can change a directory's inode or bytes calls
+   this first, before touching a block, so a write that fails half-way
+   cannot leave a stale parse behind. *)
+let forget_dir t inum = Hashtbl.remove t.dirs inum
+
+(* ------------------------------------------------------------------ *)
 (* Block I/O                                                           *)
 
 (* Every metadata and data access funnels through these three, so the
@@ -149,6 +167,8 @@ let with_txn t f =
           e)
      | Error _ as e ->
        Journal.abort_txn j;
+       (* The rolled-back writes may have been parsed mid-transaction. *)
+       Hashtbl.reset t.dirs;
        e)
 
 (* ------------------------------------------------------------------ *)
@@ -237,7 +257,9 @@ let decode_ino b off =
     i_mode = Codec.get_u16 b (off + 12);
     i_uid = Codec.get_u16 b (off + 14);
     i_gen = Codec.get_u32 b (off + 16);
-    i_direct = Array.init ndirect (fun k -> Codec.get_u32 b (off + 20 + (4 * k)));
+    i_direct =
+      (let p k = Codec.get_u32 b (off + 20 + (4 * k)) in
+       [| p 0; p 1; p 2; p 3; p 4; p 5; p 6; p 7; p 8; p 9; p 10; p 11 |]);
     i_indirect = Codec.get_u32 b (off + 68);
   }
 
@@ -266,6 +288,7 @@ let read_live_ino t inum =
   if ino.i_kind = 0 then Error Errno.ESTALE else Ok ino
 
 let write_ino t inum ino =
+  forget_dir t inum;
   let blk, off = inode_loc t inum in
   let* b = bread_copy t blk in
   encode_ino b off ino;
@@ -349,7 +372,7 @@ let mkfs ?(cache_capacity = 256) ?ninodes ?(inode_size = default_inode_size)
       let cache = Block_cache.create ~capacity:cache_capacity disk in
       (* Format with direct write-through; the journal only starts
          intercepting once the image is complete. *)
-      let t = { cache; sb; bs; now; journal = None } in
+      let t = { cache; sb; bs; now; journal = None; dirs = Hashtbl.create dir_cache_capacity } in
       let* () = Block_cache.write cache 0 (encode_sb bs sb) in
       (* Zero both bitmaps and the inode table. *)
       let zero = Bytes.make bs '\000' in
@@ -398,10 +421,11 @@ let mount ?(cache_capacity = 256) ?(journal_flush_blocks = 32) ?(journal_flush_a
     ~now disk =
   let bs = Disk.block_size disk in
   let cache = Block_cache.create ~capacity:cache_capacity disk in
+  let dirs = Hashtbl.create dir_cache_capacity in
   let* b = Block_cache.read cache 0 in
   let* sb = decode_sb b in
   if sb.nblocks <> Disk.nblocks disk then Error Errno.EINVAL
-  else if sb.journal_blocks = 0 then Ok { cache; sb; bs; now; journal = None }
+  else if sb.journal_blocks = 0 then Ok { cache; sb; bs; now; journal = None; dirs }
   else begin
     let j =
       make_journal ~cache ~sb ~bs ~flush_blocks:journal_flush_blocks
@@ -410,7 +434,7 @@ let mount ?(cache_capacity = 256) ?(journal_flush_blocks = 32) ?(journal_flush_a
     (* Crash recovery: re-apply every sealed record group, discard any
        torn tail, and start with an empty log. *)
     let* (_applied : int) = Journal.recover j in
-    Ok { cache; sb; bs; now; journal = Some j }
+    Ok { cache; sb; bs; now; journal = Some j; dirs }
   end
 
 let nfree_blocks t =
@@ -510,37 +534,50 @@ let bmap_alloc t ino n =
 (* ------------------------------------------------------------------ *)
 (* File read / write / truncate                                        *)
 
+(* Read the blocks behind bytes [off, off + len) in file order — the
+   indirect block (via [bmap]) and then each mapped data block — and hand
+   each mapped chunk to [f buf boff pos chunk].  Sparse chunks are
+   skipped.  [read_at] and a directory-cache hit both go through here, so
+   they charge the same block reads in the same order. *)
+let iter_blocks t ino ~off ~len f =
+  let rec go pos =
+    if pos >= len then Ok ()
+    else
+      let fpos = off + pos in
+      let fblk = fpos / t.bs in
+      let boff = fpos mod t.bs in
+      let chunk = min (t.bs - boff) (len - pos) in
+      let* phys = bmap t ino fblk in
+      let* () =
+        if phys = 0 then Ok ()
+        else
+          let* b = bread t phys in
+          f b boff pos chunk;
+          Ok ()
+      in
+      go (pos + chunk)
+  in
+  go 0
+
 let read_at t ino ~off ~len =
   if off < 0 || len < 0 then Error Errno.EINVAL
   else
     let len = min len (max 0 (ino.i_size - off)) in
     if len = 0 then Ok ""
     else begin
+      (* Sparse chunks stay zero. *)
       let out = Bytes.make len '\000' in
-      let rec copy pos =
-        if pos >= len then Ok ()
-        else
-          let fpos = off + pos in
-          let fblk = fpos / t.bs in
-          let boff = fpos mod t.bs in
-          let chunk = min (t.bs - boff) (len - pos) in
-          let* phys = bmap t ino fblk in
-          let* () =
-            if phys = 0 then Ok () (* sparse: zeros *)
-            else
-              let* b = bread t phys in
-              Bytes.blit b boff out pos chunk;
-              Ok ()
-          in
-          copy (pos + chunk)
+      let* () =
+        iter_blocks t ino ~off ~len (fun b boff pos chunk -> Bytes.blit b boff out pos chunk)
       in
-      let* () = copy 0 in
-      Ok (Bytes.to_string out)
+      (* [out] never escapes except as this string. *)
+      Ok (Bytes.unsafe_to_string out)
     end
 
 let write_at t inum ino ~off data =
   if off < 0 then Error Errno.EINVAL
   else begin
+    forget_dir t inum;
     let len = String.length data in
     let rec store ino pos =
       if pos >= len then Ok ino
@@ -600,6 +637,7 @@ let free_blocks_from t ino ~keep =
       Ok { ino with i_direct = direct; i_indirect = 0 }
 
 let truncate_ino t inum ino len =
+  forget_dir t inum;
   if len < 0 then Error Errno.EINVAL
   else if len >= ino.i_size then
     (* Extension: the gap reads back as zeros (sparse or zero-padded). *)
@@ -623,6 +661,7 @@ let truncate_ino t inum ino len =
   end
 
 let free_inode t inum ino =
+  forget_dir t inum;
   let* _ino = free_blocks_from t ino ~keep:0 in
   (* Keep the generation in the dead slot so reallocation bumps it. *)
   let* () = write_ino t inum { empty_ino with i_gen = ino.i_gen } in
@@ -683,12 +722,30 @@ let valid_name name =
   let len = String.length name in
   len > 0 && len <= max_name && not (String.contains name '/')
 
+let index_dir entries =
+  let index = Hashtbl.create (List.length entries) in
+  List.iter
+    (fun ((n, _, _) as e) -> if not (Hashtbl.mem index n) then Hashtbl.add index n e)
+    entries;
+  { entries; index }
+
+(* A hit skips the copy and the parse but still reads every block a
+   parse would have read, so device reads, buffer-cache hits and misses,
+   and simulated I/O time are the same with or without the cache. *)
 let load_dir t inum =
   let* ino = read_live_ino t inum in
   if ino.i_kind <> 2 then Error Errno.ENOTDIR
   else
-    let* data = read_at t ino ~off:0 ~len:ino.i_size in
-    Ok (ino, parse_dir data)
+    match Hashtbl.find_opt t.dirs inum with
+    | Some d ->
+      let* () = iter_blocks t ino ~off:0 ~len:ino.i_size (fun _ _ _ _ -> ()) in
+      Ok (ino, d)
+    | None ->
+      let* data = read_at t ino ~off:0 ~len:ino.i_size in
+      let d = index_dir (parse_dir data) in
+      if Hashtbl.length t.dirs >= dir_cache_capacity then Hashtbl.reset t.dirs;
+      Hashtbl.replace t.dirs inum d;
+      Ok (ino, d)
 
 (* Rewrite directory contents in place.  For a directory that fits in one
    block this is a single data-block write followed by bookkeeping: a
@@ -705,12 +762,12 @@ let store_dir t inum ino entries =
   end
 
 let dir_entries t inum =
-  let* _ino, entries = load_dir t inum in
-  Ok entries
+  let* _ino, d = load_dir t inum in
+  Ok d.entries
 
 let dir_lookup t inum name =
-  let* _ino, entries = load_dir t inum in
-  match List.find_opt (fun (n, _, _) -> n = name) entries with
+  let* _ino, d = load_dir t inum in
+  match Hashtbl.find_opt d.index name with
   | Some (_, child, _) -> Ok child
   | None -> Error Errno.ENOENT
 
@@ -766,9 +823,9 @@ let add_entry t dir name child kind =
   if not (valid_name name) then
     Error (if String.length name > max_name then Errno.ENAMETOOLONG else Errno.EINVAL)
   else
-    let* ino, entries = load_dir t dir in
-    if List.exists (fun (n, _, _) -> n = name) entries then Error Errno.EEXIST
-    else store_dir t dir ino (entries @ [ (name, child, kind) ])
+    let* ino, d = load_dir t dir in
+    if Hashtbl.mem d.index name then Error Errno.EEXIST
+    else store_dir t dir ino (d.entries @ [ (name, child, kind) ])
 
 let create t ~dir name =
   with_txn t @@ fun () ->
@@ -807,11 +864,11 @@ let link t ~dir name target =
     write_ino t target { ino with i_nlink = ino.i_nlink + 1 }
 
 let remove_entry t dir name =
-  let* ino, entries = load_dir t dir in
-  match List.find_opt (fun (n, _, _) -> n = name) entries with
+  let* ino, d = load_dir t dir in
+  match Hashtbl.find_opt d.index name with
   | None -> Error Errno.ENOENT
   | Some (_, child, kind) ->
-    let entries = List.filter (fun (n, _, _) -> n <> name) entries in
+    let entries = List.filter (fun (n, _, _) -> n <> name) d.entries in
     let* () = store_dir t dir ino entries in
     Ok (child, kind)
 
@@ -836,8 +893,8 @@ let rmdir t ~dir name =
   let* ino = read_live_ino t child in
   if ino.i_kind <> 2 then Error Errno.ENOTDIR
   else
-    let* _ino, entries = load_dir t child in
-    if ino.i_nlink <= 1 && entries <> [] then Error Errno.ENOTEMPTY
+    let* _ino, d = load_dir t child in
+    if ino.i_nlink <= 1 && d.entries <> [] then Error Errno.ENOTEMPTY
     else
       let* _ = remove_entry t dir name in
       drop_link t child
@@ -851,8 +908,8 @@ let check_replaceable t ~src_is_dir d =
   | true, false -> Error Errno.ENOTDIR
   | false, true -> Error Errno.EISDIR
   | true, true ->
-    let* _ino, entries = load_dir t d in
-    if dst_ino.i_nlink <= 1 && entries <> [] then Error Errno.ENOTEMPTY else Ok ()
+    let* _ino, dir = load_dir t d in
+    if dst_ino.i_nlink <= 1 && dir.entries <> [] then Error Errno.ENOTEMPTY else Ok ()
   | false, false -> Ok ()
 
 (* Journaled, the whole rename — including the shadow-file commit point
@@ -884,9 +941,9 @@ let rename t ~sdir ~sname ~ddir ~dname =
          inode released.  A crash in between leaks the old inode but the
          name always resolves to a complete version. *)
       let* () = check_replaceable t ~src_is_dir d in
-      let* ino, entries = load_dir t sdir in
+      let* ino, dir = load_dir t sdir in
       let entries =
-        List.filter (fun (n, _, _) -> n <> sname && n <> dname) entries
+        List.filter (fun (n, _, _) -> n <> sname && n <> dname) dir.entries
         @ [ (dname, src, src_kind) ]
       in
       let* () = store_dir t sdir ino entries in
@@ -898,9 +955,9 @@ let rename t ~sdir ~sname ~ddir ~dname =
       let* _ = remove_entry t sdir sname in
       add_entry t ddir dname src src_kind
     | None when sdir = ddir ->
-      let* ino, entries = load_dir t sdir in
+      let* ino, dir = load_dir t sdir in
       let entries =
-        List.map (fun (n, i, k) -> if n = sname then (dname, i, k) else (n, i, k)) entries
+        List.map (fun (n, i, k) -> if n = sname then (dname, i, k) else (n, i, k)) dir.entries
       in
       store_dir t sdir ino entries
     | None ->
@@ -935,6 +992,7 @@ let crash_reboot t =
      device survives.  Replay then restores the last sealed group
      commit, exactly as a fresh [mount] would. *)
   Block_cache.invalidate t.cache;
+  Hashtbl.reset t.dirs;
   match t.journal with
   | None -> Ok ()
   | Some j ->
@@ -979,12 +1037,12 @@ let check t =
           if ino.i_kind = 2 then
             match load_dir t inum with
             | Error _ -> complain "unreadable directory %d" inum
-            | Ok (_, entries) ->
+            | Ok (_, d) ->
               List.iter
                 (fun (_, child, _) ->
                   bump child;
                   walk child)
-                entries
+                d.entries
         end
     end
   in

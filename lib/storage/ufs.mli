@@ -95,6 +95,28 @@ val truncate : t -> inum -> int -> unit io
 
 (** {1 Directory operations} *)
 
+(** Each mounted [t] caches up to {!dir_cache_capacity} parsed
+    directories, keyed by inode number: the entry list plus a name index,
+    so {!dir_lookup} is a hash probe rather than a copy and re-parse of
+    the directory's bytes.  A hit still reads the inode block, the
+    indirect block and every mapped data block through the buffer cache,
+    in the order an uncached read would, so device reads, buffer-cache
+    hits and misses, and simulated I/O time are exactly what they would
+    be without the cache.
+
+    An entry is dropped before any write that can change its directory's
+    inode or bytes (inode writes, data writes, truncation, freeing the
+    inode); the whole cache is dropped when a journaled transaction
+    aborts and on {!crash_reboot}; {!mount} starts empty.  Like the
+    allocator, the cache assumes a consistent file system: after an
+    unjournaled write failure leaves a freed block still mapped (which
+    {!check} reports), reusing that block can make a cached directory
+    disagree with the media. *)
+
+val dir_cache_capacity : int
+(** 64 directories per mount.  Inserting into a full cache first empties
+    it. *)
+
 val dir_lookup : t -> inum -> string -> inum io
 val dir_entries : t -> inum -> (string * inum * kind) list io
 

@@ -206,36 +206,35 @@ let print_fs_op = function
    implicitly created on first use. *)
 module Smap = Map.Make (String)
 
-let run_model ops =
-  let dir d = Printf.sprintf "d%d" (d mod 4) in
+let model_dir d = Printf.sprintf "d%d" (d mod 4)
+
+let model_step (dirs, files) op =
+  let dir = model_dir in
   let file d n = Printf.sprintf "%s/f%d" (dir d) (n mod 6) in
-  let apply (dirs, files) op =
-    match op with
-    | MkdirOp d -> (Smap.add (dir d) () dirs, files)
-    | Create (d, n) ->
-      let dirs = Smap.add (dir d) () dirs in
-      let key = file d n in
-      if Smap.mem key files then (dirs, files) else (dirs, Smap.add key "" files)
-    | WriteF (d, n, s) ->
-      let key = file d n in
-      if Smap.mem key files then (dirs, Smap.add key s files) else (dirs, files)
-    | Unlink (d, n) -> (dirs, Smap.remove (file d n) files)
-    | RenameF (a, b, c, d) ->
-      let src = file a b and dst = file c d in
-      (match Smap.find_opt src files with
-       | None -> (dirs, files)
-       | Some contents ->
-         if Smap.mem (dir c) dirs && not (Smap.mem dst files) then
-           (dirs, Smap.add dst contents (Smap.remove src files))
-         else (dirs, files))
-  in
-  List.fold_left apply (Smap.empty, Smap.empty) ops
+  match op with
+  | MkdirOp d -> (Smap.add (dir d) () dirs, files)
+  | Create (d, n) ->
+    let dirs = Smap.add (dir d) () dirs in
+    let key = file d n in
+    if Smap.mem key files then (dirs, files) else (dirs, Smap.add key "" files)
+  | WriteF (d, n, s) ->
+    let key = file d n in
+    if Smap.mem key files then (dirs, Smap.add key s files) else (dirs, files)
+  | Unlink (d, n) -> (dirs, Smap.remove (file d n) files)
+  | RenameF (a, b, c, d) ->
+    let src = file a b and dst = file c d in
+    (match Smap.find_opt src files with
+     | None -> (dirs, files)
+     | Some contents ->
+       if Smap.mem (dir c) dirs && not (Smap.mem dst files) then
+         (dirs, Smap.add dst contents (Smap.remove src files))
+       else (dirs, files))
 
 (* The same operation script executed through an (uncached) NFS mount
    must observe exactly what direct vnode access observes: the transport
    is semantically transparent (modulo the caches, here disabled). *)
-let run_ops_via root ops =
-  let dir d = Printf.sprintf "d%d" (d mod 4) in
+let run_op_via root op =
+  let dir = model_dir in
   let file d n = Printf.sprintf "%s/f%d" (dir d) (n mod 6) in
   let ensure_dir d =
     match root.Vnode.lookup (dir d) with
@@ -244,38 +243,31 @@ let run_ops_via root ops =
       (match root.Vnode.mkdir (dir d) with Ok v -> Some v | Error _ -> None)
     | Error _ -> None
   in
-  List.iter
-    (fun op ->
-      match op with
-      | MkdirOp d -> ignore (ensure_dir d)
-      | Create (d, n) ->
-        (match ensure_dir d with
-         | None -> ()
-         | Some dv -> ignore (dv.Vnode.create (Printf.sprintf "f%d" (n mod 6))))
-      | WriteF (d, n, s) ->
-        (match Namei.walk ~root (file d n) with
-         | Ok v -> ignore (Vnode.write_all v s)
-         | Error _ -> ())
-      | Unlink (d, n) ->
-        (match Namei.walk ~root (dir d) with
-         | Ok dv -> ignore (dv.Vnode.remove (Printf.sprintf "f%d" (n mod 6)))
-         | Error _ -> ())
-      | RenameF (a, b, c, d) ->
-        (match Namei.walk ~root (dir a), Namei.walk ~root (dir c) with
-         | Ok sv, Ok dv ->
-           let dst = Printf.sprintf "f%d" (d mod 6) in
-           (match dv.Vnode.lookup dst with
-            | Error Errno.ENOENT ->
-              ignore (sv.Vnode.rename (Printf.sprintf "f%d" (b mod 6)) dv dst)
-            | Ok _ | Error _ -> ())
-         | _, _ -> ()))
-    ops
+  match op with
+  | MkdirOp d -> ignore (ensure_dir d)
+  | Create (d, n) ->
+    (match ensure_dir d with
+     | None -> ()
+     | Some dv -> ignore (dv.Vnode.create (Printf.sprintf "f%d" (n mod 6))))
+  | WriteF (d, n, s) ->
+    (match Namei.walk ~root (file d n) with
+     | Ok v -> ignore (Vnode.write_all v s)
+     | Error _ -> ())
+  | Unlink (d, n) ->
+    (match Namei.walk ~root (dir d) with
+     | Ok dv -> ignore (dv.Vnode.remove (Printf.sprintf "f%d" (n mod 6)))
+     | Error _ -> ())
+  | RenameF (a, b, c, d) ->
+    (match Namei.walk ~root (dir a), Namei.walk ~root (dir c) with
+     | Ok sv, Ok dv ->
+       let dst = Printf.sprintf "f%d" (d mod 6) in
+       (match dv.Vnode.lookup dst with
+        | Error Errno.ENOENT ->
+          ignore (sv.Vnode.rename (Printf.sprintf "f%d" (b mod 6)) dv dst)
+        | Ok _ | Error _ -> ())
+     | _, _ -> ())
 
-let run_ufs ops =
-  let _, fs = Util.fresh_ufs ~blocks:4096 () in
-  let root = Ufs_vnode.root fs in
-  run_ops_via root ops;
-  (fs, root)
+let run_ops_via root ops = List.iter (run_op_via root) ops
 
 let observe_ufs root =
   let contents = ref [] in
@@ -309,15 +301,107 @@ let ops_arb =
     ~print:(fun ops -> String.concat "; " (List.map print_fs_op ops))
     QCheck.Gen.(list_size (int_bound 40) fs_op_gen)
 
+(* The stateful UFS law runs the model's ops interleaved with steps that
+   stress the storage layer's caches: an op whose transaction rolls back,
+   a crash after sync, and an op cut short by a failing device. *)
+type ufs_step =
+  | Op of fs_op
+  | Rmdir of int  (* ENOTEMPTY, a rolled-back transaction, unless empty *)
+  | Sync_crash  (* Ufs.sync, then Ufs.crash_reboot *)
+  | Faulty of int * fs_op  (* device writes fail after the first n *)
+
+let print_ufs_step = function
+  | Op o -> print_fs_op o
+  | Rmdir d -> Printf.sprintf "Rmdir(%d)" d
+  | Sync_crash -> "Sync_crash"
+  | Faulty (n, o) -> Printf.sprintf "Faulty(%d,%s)" n (print_fs_op o)
+
+let steps_arb ~faults =
+  let step =
+    QCheck.Gen.(
+      frequency
+        ([
+           (8, map (fun o -> Op o) fs_op_gen);
+           (1, map (fun d -> Rmdir d) (int_bound 3));
+           (1, return Sync_crash);
+         ]
+        @ if faults then [ (2, map2 (fun n o -> Faulty (n, o)) (int_bound 6) fs_op_gen) ] else []))
+  in
+  QCheck.make ~shrink:QCheck.Shrink.list
+    ~print:(fun steps -> String.concat "; " (List.map print_ufs_step steps))
+    QCheck.Gen.(list_size (int_bound 40) step)
+
+let model_rmdir (dirs, files) d =
+  let prefix = model_dir d ^ "/" in
+  if Smap.exists (fun key _ -> String.starts_with ~prefix key) files then (dirs, files)
+  else (Smap.remove (model_dir d) dirs, files)
+
+(* After a faulted op the model adopts what the device kept: an
+   unjournaled UFS promises no atomicity under write failure, only that
+   what it shows is what is on the media. *)
+let model_of_ufs root =
+  let dirs =
+    match root.Vnode.readdir () with
+    | Ok es -> List.fold_left (fun m e -> Smap.add e.Vnode.entry_name () m) Smap.empty es
+    | Error _ -> Smap.empty
+  in
+  (dirs, Smap.of_seq (List.to_seq (observe_ufs root)))
+
+let fsck_ok fs = match Ufs.check fs with Ok () -> true | Error _ -> false
+
+(* After every step the live file system must show exactly the model's
+   files.  Unjournaled, it must also show exactly what a second mount of
+   the same device sees with cold caches: the write-through media is the
+   truth, so a stale cached directory or block shows up as a difference.
+   A fault can leave the file system inconsistent (a freed block still
+   mapped, say).  Later ops then stray from any model, and the directory
+   cache, like the allocator, assumes a consistent file system (see
+   ufs.mli), so the run ends once fsck fails after a faulted op. *)
+let ufs_matches_model ~journaled steps =
+  let journal_blocks = if journaled then 64 else 0 in
+  let disk, fs = Util.fresh_ufs ~blocks:4096 ~journal_blocks () in
+  let root = Ufs_vnode.root fs in
+  let agrees (_, files) =
+    let seen = observe_ufs root in
+    seen = Smap.bindings files
+    && (journaled
+       ||
+       match Ufs.mount ~now:(fun () -> 0) disk with
+       | Ok cold -> seen = observe_ufs (Ufs_vnode.root cold)
+       | Error _ -> false)
+  in
+  let step model = function
+    | Op o ->
+      run_op_via root o;
+      model_step model o
+    | Rmdir d ->
+      ignore (root.Vnode.rmdir (model_dir d));
+      model_rmdir model d
+    | Sync_crash ->
+      (match Result.bind (Ufs.sync fs) (fun () -> Ufs.crash_reboot fs) with
+       | Ok () -> model
+       | Error _ -> failwith "sync/crash_reboot failed")
+    | Faulty (n, o) ->
+      Disk.fail_writes_after disk n;
+      run_op_via root o;
+      Disk.clear_failures disk;
+      model_of_ufs root
+  in
+  let rec go model = function
+    | [] -> fsck_ok fs
+    | s :: rest ->
+      let model = step model s in
+      agrees model
+      && (match s with Faulty _ when not (fsck_ok fs) -> true | _ -> go model rest)
+  in
+  go (Smap.empty, Smap.empty) steps
+
 let ufs_props =
   [
-    prop "UFS matches the functional model" ~count:150 ops_arb (fun ops ->
-        let _, files = run_model ops in
-        let fs, root = run_ufs ops in
-        let expected = List.sort compare (Smap.bindings files) in
-        let actual = observe_ufs root in
-        expected = actual
-        && (match Ufs.check fs with Ok () -> true | Error _ -> false));
+    prop "UFS matches the functional model" ~count:150 (steps_arb ~faults:true)
+      (ufs_matches_model ~journaled:false);
+    prop "journaled UFS matches the functional model" ~count:100 (steps_arb ~faults:false)
+      (ufs_matches_model ~journaled:true);
     prop "NFS transport is semantically transparent" ~count:100 ops_arb (fun ops ->
         (* Direct stack. *)
         let _, direct_fs = Util.fresh_ufs ~blocks:4096 () in

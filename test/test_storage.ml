@@ -103,6 +103,130 @@ let test_disk_latency_charging () =
   ok (Block_cache.write c 1 (Bytes.make 64 'x'));
   Alcotest.(check int) "write-through charged" 20 (Clock.now clock)
 
+(* The reference the O(1) LRU must agree with: recency stamps, and
+   eviction by a scan for the minimum stamp. *)
+module Scan_lru = struct
+  type t = {
+    disk : Disk.t;
+    capacity : int;
+    table : (int, bytes * int ref) Hashtbl.t;
+    mutable tick : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create capacity disk =
+    { disk; capacity; table = Hashtbl.create 16; tick = 0; hits = 0; misses = 0 }
+
+  let touch t stamp =
+    t.tick <- t.tick + 1;
+    stamp := t.tick
+
+  let insert t blk buf =
+    if t.capacity > 0 then begin
+      if Hashtbl.length t.table >= t.capacity then begin
+        let oldest =
+          Hashtbl.fold
+            (fun blk (_, s) acc ->
+              match acc with Some (_, best) when best <= !s -> acc | _ -> Some (blk, !s))
+            t.table None
+        in
+        Option.iter (fun (blk, _) -> Hashtbl.remove t.table blk) oldest
+      end;
+      let stamp = ref 0 in
+      touch t stamp;
+      Hashtbl.replace t.table blk (buf, stamp)
+    end
+
+  let read t blk =
+    match Hashtbl.find_opt t.table blk with
+    | Some (buf, stamp) ->
+      t.hits <- t.hits + 1;
+      touch t stamp;
+      Ok buf
+    | None ->
+      t.misses <- t.misses + 1;
+      (match Disk.read t.disk blk with
+       | Error _ as e -> e
+       | Ok buf ->
+         insert t blk buf;
+         Ok buf)
+
+  let write t blk buf =
+    match Disk.write t.disk blk buf with
+    | Error _ as e -> e
+    | Ok () ->
+      (match Hashtbl.find_opt t.table blk with
+       | Some (cached, stamp) ->
+         Bytes.blit buf 0 cached 0 (Bytes.length buf);
+         touch t stamp
+       | None -> insert t blk (Bytes.copy buf));
+      Ok ()
+
+  let invalidate t = Hashtbl.reset t.table
+end
+
+type cache_op = Read of int | Write of int * char | Invalidate
+
+let print_cache_op = function
+  | Read b -> Printf.sprintf "Read %d" b
+  | Write (b, c) -> Printf.sprintf "Write(%d,%C)" b c
+  | Invalidate -> "Invalidate"
+
+(* Block 12 is past the end of the 12-block devices: the error path. *)
+let cache_schedule_arb =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun b -> Read b) (int_bound 12));
+          (3, map2 (fun b c -> Write (b, c)) (int_bound 11) printable);
+          (1, return Invalidate);
+        ])
+  in
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map print_cache_op ops)))
+    QCheck.Gen.(pair (int_bound 8) (list_size (int_bound 60) op))
+
+let lru_matches_scan (capacity, ops) =
+  let bs = 16 in
+  let d = Disk.create ~nblocks:12 ~block_size:bs () in
+  let rd = Disk.create ~nblocks:12 ~block_size:bs () in
+  let c = Block_cache.create ~capacity d in
+  let r = Scan_lru.create capacity rd in
+  let same_result a b =
+    match a, b with
+    | Ok x, Ok y -> Bytes.equal x y
+    | Error e, Error e' -> Errno.equal e e'
+    | _ -> false
+  in
+  let agree op =
+    let same =
+      match op with
+      | Read b -> same_result (Block_cache.read c b) (Scan_lru.read r b)
+      | Write (b, ch) ->
+        let buf = Bytes.make bs ch in
+        Result.is_ok (Block_cache.write c b buf) && Result.is_ok (Scan_lru.write r b buf)
+      | Invalidate ->
+        Block_cache.invalidate c;
+        Scan_lru.invalidate r;
+        true
+    in
+    same
+    && Block_cache.hits c = r.Scan_lru.hits
+    && Block_cache.misses c = r.Scan_lru.misses
+    && Disk.reads d = Disk.reads rd
+    && Disk.writes d = Disk.writes rd
+  in
+  List.for_all agree ops
+
+let lru_props =
+  [
+    QCheck.Test.make ~name:"O(1) LRU matches the min-stamp scan" ~count:300 cache_schedule_arb
+      lru_matches_scan;
+  ]
+
 let suite =
   [
     case "disk read/write" test_disk_read_write;
@@ -117,3 +241,4 @@ let suite =
     case "cache invalidate" test_cache_invalidate;
     case "zero capacity disables caching" test_zero_capacity_disables_caching;
   ]
+  @ List.map QCheck_alcotest.to_alcotest lru_props

@@ -250,6 +250,50 @@ let test_sparse_file_reads_zeros () =
     (ok (Ufs.read fs f ~off:1024 ~len:16));
   fsck fs
 
+(* The I/O-charging contract E2/E3 rely on: the parsed-directory cache
+   survives Block_cache.invalidate, yet a lookup it answers must cost the
+   same device reads as on a freshly mounted file system, whose
+   directory cache is empty.  "big" outgrows the 12 direct blocks, so
+   the indirect block is charged too. *)
+let test_dir_cache_charges_cold_reads () =
+  let disk, fs = fresh_ufs ~blocks:4096 () in
+  let root = Ufs.root fs in
+  let big = ok (Ufs.mkdir fs ~dir:root "big") in
+  let name i = Printf.sprintf "entry-%04d-padpadpad" i in
+  for i = 0 to 599 do
+    ignore (ok (Ufs.create fs ~dir:big (name i)))
+  done;
+  let small = ok (Ufs.mkdir fs ~dir:root "small") in
+  ignore (ok (Ufs.mkdir fs ~dir:small "sub"));
+  Alcotest.(check bool) "big uses the indirect block" true
+    ((ok (Ufs.stat fs big)).Ufs.size > 12 * 1024);
+  let lookups fs =
+    let look dir n = Ufs.dir_lookup fs dir n in
+    let r = Ufs.root fs in
+    let b = ok (look r "big") and s = ok (look r "small") in
+    let sub = ok (look s "sub") in
+    [ look b (name 0); look b (name 599); look b "missing"; look sub "nope"; look r "small" ]
+    @ [ Ok (List.length (ok (Ufs.dir_entries fs b))) ]
+  in
+  let cost fs =
+    Block_cache.reset_stats (Ufs.cache fs);
+    Disk.reset_stats disk;
+    (* Twice: the second pass hits in the buffer cache. *)
+    let results = lookups fs @ lookups fs in
+    let c = Ufs.cache fs in
+    (results, Disk.reads disk, Block_cache.hits c, Block_cache.misses c)
+  in
+  ignore (lookups fs);
+  Block_cache.invalidate (Ufs.cache fs);
+  let warm_results, warm_reads, warm_hits, warm_misses = cost fs in
+  let fresh = ok (Ufs.mount ~now:(fun () -> 0) disk) in
+  let cold_results, cold_reads, cold_hits, cold_misses = cost fresh in
+  Alcotest.(check bool) "same answers" true (warm_results = cold_results);
+  Alcotest.(check bool) "reads reach the device" true (cold_reads > 0);
+  Alcotest.(check int) "device reads" cold_reads warm_reads;
+  Alcotest.(check int) "cache hits" cold_hits warm_hits;
+  Alcotest.(check int) "cache misses" cold_misses warm_misses
+
 let suite =
   [
     case "mkfs and mount" test_mkfs_mount;
@@ -273,4 +317,5 @@ let suite =
     case "persistence across remount" test_persistence_across_mount;
     case "directory spanning blocks" test_directory_spanning_blocks;
     case "sparse files read zeros" test_sparse_file_reads_zeros;
+    case "directory cache charges cold reads" test_dir_cache_charges_cold_reads;
   ]

@@ -14,11 +14,11 @@ let expect_err expected = function
 let vv_testable = Alcotest.testable Version_vector.pp Version_vector.equal
 
 (* A small in-memory UFS for unit tests. *)
-let fresh_ufs ?(blocks = 2048) ?(block_size = 1024) ?(cache = 128) () =
+let fresh_ufs ?(blocks = 2048) ?(block_size = 1024) ?(cache = 128) ?(journal_blocks = 0) () =
   let disk = Disk.create ~nblocks:blocks ~block_size () in
   let counter = ref 0 in
   let now () = incr counter; !counter in
-  (disk, ok ~msg:"mkfs" (Ufs.mkfs ~cache_capacity:cache ~now disk))
+  (disk, ok ~msg:"mkfs" (Ufs.mkfs ~cache_capacity:cache ~journal_blocks ~now disk))
 
 let read_file root path =
   let v = ok (Namei.walk ~root path) in
