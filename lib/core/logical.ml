@@ -39,7 +39,7 @@ let create ?(selection = Most_recent) ?(obs = Obs.default)
     liveness;
     grafts = Hashtbl.create 8;
     locks = Hashtbl.create 16;
-    counters = Counters.create ();
+    counters = Counters.child (Metrics.counters obs.Obs.metrics);
     obs;
   }
 
@@ -54,7 +54,7 @@ let obs t = t.obs
 let traced t label f =
   let spans = t.obs.Obs.spans in
   let id = Span.start spans ~host:t.host ~tick:(Clock.now t.clock) label in
-  Metrics.incr t.obs.Obs.metrics "logical.updates";
+  Counters.incr t.counters "logical.updates";
   let ctx =
     Span.make_ctx ~spans ~id ~host:t.host ~now:(fun () -> Clock.now t.clock)
   in
@@ -144,10 +144,7 @@ let candidates t ~all g path =
       | [] -> g.g_replicas
       | live ->
         let skipped = List.length g.g_replicas - List.length live in
-        if skipped > 0 then begin
-          Counters.add t.counters "logical.skipped_doubtful" skipped;
-          Metrics.add t.obs.Obs.metrics "logical.skipped_doubtful" skipped
-        end;
+        if skipped > 0 then Counters.add t.counters "logical.skipped_doubtful" skipped;
         live
   in
   let reachable =

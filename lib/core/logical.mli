@@ -34,8 +34,9 @@ val create :
 (** [host] is this logical layer's host name, used to recognize local
     replicas; [connect] supplies physical-root vnodes (direct or via
     NFS).  Default selection is [Most_recent].  [obs] (default
-    {!Obs.default}) receives metrics and the causal span that every
-    mutating operation originates here, at the top of the stack.
+    {!Obs.default}) receives metrics, through a counter set that is a
+    child of its registry, and the causal span that every mutating
+    operation originates here, at the top of the stack.
 
     [liveness] (default: everyone [Alive]) lets the gossip failure
     detector steer replica selection: the first pass over a graft's

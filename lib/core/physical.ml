@@ -399,7 +399,7 @@ let emit ?(vv = Vv.empty) t ~fidpath ~fid ~kind =
     let span = Span.ambient_id () in
     if span <> Span.none then begin
       Span.emit "notify:send";
-      Metrics.incr t.obs.Obs.metrics "notify.sent"
+      Counters.incr t.counters "notify.sent"
     end;
     f
       {
@@ -1145,7 +1145,6 @@ and ctl_lookup t path name =
          Ok (ctl_vnode (Buffer.contents buf))
      | "stats", _ ->
        Counters.incr t.counters "phys.ctl.stats";
-       Metrics.incr t.obs.Obs.metrics "phys.ctl.stats";
        Ok (ctl_vnode (stats_body t))
      | "peers", _ ->
        let body =
@@ -1708,7 +1707,7 @@ let create ?(obs = Obs.default) ~container ~clock ~host ~vref ~rid ~peers () =
       peers;
       notifier = None;
       conflicts = Conflict_log.create ();
-      counters = Counters.create ();
+      counters = Counters.child (Metrics.counters obs.Obs.metrics);
       obs;
       open_count = 0;
       dir_merge = `Legacy;
@@ -1790,7 +1789,7 @@ let attach ?(obs = Obs.default) ~container ~clock ~host () =
       peers = [];
       notifier = None;
       conflicts = Conflict_log.create ();
-      counters = Counters.create ();
+      counters = Counters.child (Metrics.counters obs.Obs.metrics);
       obs;
       open_count = 0;
       dir_merge = `Legacy;

@@ -39,7 +39,8 @@ val create :
 (** Initialize a fresh volume replica in [container] (an empty UFS
     directory).  [peers] must list every replica of the volume including
     this one with its host name.  [obs] is the observability bundle the
-    layer reports into (defaults to the process-wide {!Obs.default}). *)
+    layer reports into (defaults to the process-wide {!Obs.default});
+    the replica's counter set is a child of its registry. *)
 
 val attach :
   ?obs:Obs.t -> container:Vnode.t -> clock:Clock.t -> host:string -> unit -> (t, Errno.t) result

@@ -45,7 +45,7 @@ let create ?(delay = 0) ?(max_attempts = 5) ?(backoff_base = 2) ?(backoff_max = 
     backoff_max;
     deadline;
     rng = Random.State.make [| seed |];
-    counters = Counters.create ();
+    counters = Counters.child (Metrics.counters obs.Obs.metrics);
     obs;
   }
 
@@ -61,11 +61,6 @@ let backoff t attempts =
 
 let ( let* ) = Result.bind
 
-(* Per-daemon private counter plus the shared cluster-wide registry, so
-   propagation activity shows up in Cluster.metrics_snapshot. *)
-let count t key = Obs.count t.obs t.counters key
-let count_n t key n = Obs.count ~n t.obs t.counters key
-
 let on_notify t (e : Notify.event) =
   match t.local_replica e.Notify.vref with
   | None -> ()
@@ -74,23 +69,24 @@ let on_notify t (e : Notify.event) =
     if e.Notify.origin_rid <> Physical.rid phys then begin
       let now = Clock.now t.clock in
       Span.event t.obs.Obs.spans e.Notify.span ~host:t.host ~tick:now "nvc:note";
-      Metrics.incr t.obs.Obs.metrics "notify.received";
-      if New_version_cache.note t.nvc e ~now then count t "prop.nvc_deduped"
+      Counters.incr t.counters "notify.received";
+      if New_version_cache.note t.nvc e ~now then Counters.incr t.counters "prop.nvc_deduped"
     end
 
 (* Record one delta-fetch outcome in the counters ("prop.bytes" now
    covers every byte the pull put on the wire: file bodies, directory
    fetches, chunk maps and negotiation requests alike). *)
 let count_fetch t (stats : Delta.stats) =
-  count_n t "prop.bytes" stats.Delta.wire_bytes;
+  Counters.add t.counters "prop.bytes" stats.Delta.wire_bytes;
   if stats.Delta.saved_bytes > 0 then
-    count_n t "prop.bytes_saved" stats.Delta.saved_bytes;
-  if stats.Delta.chunks_hit > 0 then count_n t "prop.chunks_hit" stats.Delta.chunks_hit;
+    Counters.add t.counters "prop.bytes_saved" stats.Delta.saved_bytes;
+  if stats.Delta.chunks_hit > 0 then
+    Counters.add t.counters "prop.chunks_hit" stats.Delta.chunks_hit;
   if stats.Delta.chunks_miss > 0 then
-    count_n t "prop.chunks_miss" stats.Delta.chunks_miss;
+    Counters.add t.counters "prop.chunks_miss" stats.Delta.chunks_miss;
   match stats.Delta.mode with
-  | Delta.Delta -> count t "prop.pull.delta"
-  | Delta.Fallback -> count t "prop.delta_fallback"
+  | Delta.Delta -> Counters.incr t.counters "prop.pull.delta"
+  | Delta.Fallback -> Counters.incr t.counters "prop.delta_fallback"
   | Delta.Whole -> ()
 
 let pull t phys (e : New_version_cache.entry) =
@@ -105,7 +101,7 @@ let pull t phys (e : New_version_cache.entry) =
     (* The notification carried the origin's version vector and our local
        history already dominates it: the pull is provably redundant —
        drop it without an RPC. *)
-    count t "prop.skipped_dominated";
+    Counters.incr t.counters "prop.skipped_dominated";
     Span.event t.obs.Obs.spans e.New_version_cache.span ~host:t.host
       ~tick:(Clock.now t.clock) "prop:skip-dominated";
     Ok []
@@ -140,7 +136,7 @@ let pull t phys (e : New_version_cache.entry) =
      | Delta.Up_to_date _ ->
        (* A header-sized answer: the advertised version was already ours
           (stale notification, or raced with reconciliation). *)
-       count t "prop.uptodate_header";
+       Counters.incr t.counters "prop.uptodate_header";
        Ok []
      | Delta.Data (vi, data) ->
        (* Prefer the span carried by the notification; fall back to the
@@ -161,9 +157,9 @@ let pull t phys (e : New_version_cache.entry) =
            ~vv:vi.Physical.vi_vv ~uid:vi.Physical.vi_uid ~data
            ~origin_rid:e.New_version_cache.origin_rid
        in
-       count t "prop.pull.file";
+       Counters.incr t.counters "prop.pull.file";
        (match outcome with
-        | Physical.Conflict _ -> count t "prop.conflicts"
+        | Physical.Conflict _ -> Counters.incr t.counters "prop.conflicts"
         | Physical.Installed | Physical.Up_to_date -> ());
        Ok [])
   | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
@@ -174,8 +170,8 @@ let pull t phys (e : New_version_cache.entry) =
       Physical.merge_dir phys e.New_version_cache.fidpath
         ~remote_rid:e.New_version_cache.origin_rid remote_fdir
     in
-    count t "prop.pull.dir";
-    count_n t "prop.bytes" dir_wire;
+    Counters.incr t.counters "prop.pull.dir";
+    Counters.add t.counters "prop.bytes" dir_wire;
     (* Entries the merge materialized need their own contents pulled. *)
     let followups =
       List.filter_map
@@ -217,7 +213,7 @@ let run_once t =
         t.deadline > 0 && now - e.New_version_cache.queued_at >= t.deadline
       in
       if expired then begin
-        count t "prop.abandoned";
+        Counters.incr t.counters "prop.abandoned";
         Log.info (fun m ->
             m ~tags:(log_tags t.host)
               "%s abandoning pull of %s: origin %s still %s at deadline"
@@ -228,7 +224,7 @@ let run_once t =
                  (t.liveness e.New_version_cache.origin_host)))
       end
       else begin
-        count t "prop.rpcs_skipped_dead";
+        Counters.incr t.counters "prop.rpcs_skipped_dead";
         e.New_version_cache.not_before <-
           now + backoff t (e.New_version_cache.attempts + 1);
         New_version_cache.requeue t.nvc e
@@ -243,7 +239,8 @@ let run_once t =
                e.New_version_cache.origin_host);
          List.iter
            (fun ev ->
-             if New_version_cache.note t.nvc ev ~now then count t "prop.nvc_deduped")
+             if New_version_cache.note t.nvc ev ~now then
+               Counters.incr t.counters "prop.nvc_deduped")
            followups
        | Error err ->
          e.New_version_cache.attempts <- e.New_version_cache.attempts + 1;
@@ -261,8 +258,8 @@ let run_once t =
              | _ -> 0
            in
            e.New_version_cache.not_before <- now + wait;
-           count t "prop.retries";
-           count_n t "prop.backoff_ticks" wait;
+           Counters.incr t.counters "prop.retries";
+           Counters.add t.counters "prop.backoff_ticks" wait;
            New_version_cache.requeue t.nvc e
          end
          else begin
@@ -273,7 +270,7 @@ let run_once t =
                  e.New_version_cache.origin_host e.New_version_cache.attempts
                  (Errno.to_string err)
                  (if expired then ", deadline passed" else ""));
-           count t "prop.abandoned"
+           Counters.incr t.counters "prop.abandoned"
          end)
   in
   List.iter handle ready;

@@ -21,7 +21,6 @@ type m = {
          client never re-reads its own mutations stale (the same
          discipline the name cache gets from targeted removals) *)
   counters : Counters.t;
-  obs : Obs.t;
   mutable root_fh : fh;
 }
 
@@ -160,7 +159,6 @@ let cached_readdir m fh =
   | Some (entries, serial, expiry)
     when now m < expiry && serial = m.mutation_serial ->
     Counters.incr m.counters "nfs.client.readdir_hits";
-    Metrics.incr m.obs.Obs.metrics "nfs.client.readdir_hits";
     Some entries
   | Some _ ->
     Hashtbl.remove m.readdir_cache fh;
@@ -326,8 +324,7 @@ let mount ?(attr_ttl = 30) ?(name_ttl = 30) ?(data_ttl = 0) ?(readdir_ttl = 30)
       data_cache = Hashtbl.create 64;
       readdir_cache = Hashtbl.create 16;
       mutation_serial = 0;
-      counters = Counters.create ();
-      obs;
+      counters = Counters.child (Metrics.counters obs.Obs.metrics);
       root_fh = "";
     }
   in

@@ -43,8 +43,8 @@ val mount :
     its TTL and its fill-time serial are current — so a client always
     re-reads its own mutations, while cross-host staleness is bounded
     by the TTL exactly as for attributes and names.  Hits are counted
-    in ["nfs.client.readdir_hits"] and mirrored into [obs]'s metrics
-    registry (default {!Obs.default}).
+    in ["nfs.client.readdir_hits"].  The mount's counter set is a child
+    of [obs]'s metrics registry (default {!Obs.default}).
 
     [max_retries] (default 3) bounds retransmissions of {e idempotent}
     requests (reads, lookups, absolute-offset writes) after an

@@ -7,6 +7,10 @@ val create : unit -> t
 
 (** {2 Counters} *)
 
+val counters : t -> Counters.t
+(** The registry's counter set: every component's own set is a
+    {!Counters.child} of it, so the registry sums each key over them. *)
+
 val incr : t -> string -> unit
 val add : t -> string -> int -> unit
 val counter : t -> string -> int
@@ -45,7 +49,7 @@ type hist_summary = {
 }
 
 type snapshot = {
-  snap_counters : (string * int) list;
+  snap_counters : (string * int) list;  (** non-zero, sorted by name *)
   snap_gauges : (string * int) list;
   snap_hists : hist_summary list;
 }
@@ -57,3 +61,5 @@ val render : snapshot -> string
     [hist k count= sum= max= p50= p95= p99=] records, one per line. *)
 
 val reset : t -> unit
+(** Zero the counters in place (component sets stay linked) and drop
+    every gauge and histogram. *)

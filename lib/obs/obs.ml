@@ -18,14 +18,6 @@ let create () =
    metrics into each other. *)
 let default = create ()
 
-(* Count once into a component's private counter set and the shared
-   cluster-wide registry together — daemons keep isolated counters for
-   inspection while metrics_snapshot sees the same key.  Shared here so
-   every daemon doesn't re-grow its own copy of the mirroring helper. *)
-let count ?(n = 1) t counters key =
-  Counters.add counters key n;
-  Metrics.add t.metrics key n
-
 (* ------------------------------------------------------------------ *)
 (* Shared Logs reporter                                                *)
 

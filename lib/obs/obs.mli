@@ -9,11 +9,6 @@ val default : t
 (** Fallback bundle for components built without an explicit [?obs].
     Clusters create their own so simulations stay isolated. *)
 
-val count : ?n:int -> t -> Counters.t -> string -> unit
-(** Add [n] (default 1) to [key] in both the given private counter set
-    and the bundle's metrics registry — the single mirroring helper the
-    daemons share instead of each keeping its own copy. *)
-
 val host_tag : string Logs.Tag.def
 (** Attach with [Logs.Tag.add host_tag name Logs.Tag.empty] so the
     reporter prefixes the line with the emitting replica. *)

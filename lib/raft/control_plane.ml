@@ -46,84 +46,41 @@ let encode_cmd cmd =
     buf_str b sg_path);
   Buffer.contents b
 
-(* A tiny cursor parser shared by command and snapshot decoding. *)
-type cursor = { c_s : string; mutable c_pos : int }
-
-exception Bad
-
-let expect c ch =
-  if c.c_pos >= String.length c.c_s || c.c_s.[c.c_pos] <> ch then raise Bad;
-  c.c_pos <- c.c_pos + 1
-
-let cur_int c =
-  let start = c.c_pos in
-  if c.c_pos < String.length c.c_s && c.c_s.[c.c_pos] = '-' then
-    c.c_pos <- c.c_pos + 1;
-  while
-    c.c_pos < String.length c.c_s
-    && c.c_s.[c.c_pos] >= '0'
-    && c.c_s.[c.c_pos] <= '9'
-  do
-    c.c_pos <- c.c_pos + 1
-  done;
-  if c.c_pos = start then raise Bad;
-  int_of_string (String.sub c.c_s start (c.c_pos - start))
-
-let cur_str c =
-  let n = cur_int c in
-  expect c ':';
-  if n < 0 || c.c_pos + n > String.length c.c_s then raise Bad;
-  let r = String.sub c.c_s c.c_pos n in
-  c.c_pos <- c.c_pos + n;
-  r
-
 let cur_replicas c =
-  let n = cur_int c in
-  let rec go k acc =
-    if k = 0 then List.rev acc
-    else begin
-      expect c ' ';
-      let rid = cur_int c in
-      expect c ' ';
-      let h = cur_str c in
-      go (k - 1) ((rid, h) :: acc)
-    end
-  in
-  go n []
+  Cursor.list c (fun c ->
+      let rid = Cursor.int c in
+      Cursor.expect c ' ';
+      let h = Cursor.str c in
+      (rid, h))
+
+(* Two ints, each followed by a space: the (alloc, vol) every command
+   and snapshot record starts with. *)
+let cur_vref c =
+  let alloc = Cursor.int c in
+  Cursor.expect c ' ';
+  let vol = Cursor.int c in
+  Cursor.expect c ' ';
+  (alloc, vol)
 
 let decode_cmd s =
-  if String.length s < 5 then None
-  else
-    let tag = String.sub s 0 4 in
-    let c = { c_s = s; c_pos = 4 } in
-    try
-      expect c ' ';
-      match tag with
-      | "regv" ->
-        let rv_alloc = cur_int c in
-        expect c ' ';
-        let rv_vol = cur_int c in
-        expect c ' ';
-        let rv_label = cur_str c in
-        expect c ' ';
-        let rv_replicas = cur_replicas c in
-        Some (Register_volume { rv_alloc; rv_vol; rv_label; rv_replicas })
-      | "setr" ->
-        let sr_alloc = cur_int c in
-        expect c ' ';
-        let sr_vol = cur_int c in
-        expect c ' ';
-        let sr_replicas = cur_replicas c in
-        Some (Set_replicas { sr_alloc; sr_vol; sr_replicas })
-      | "graf" ->
-        let sg_alloc = cur_int c in
-        expect c ' ';
-        let sg_vol = cur_int c in
-        expect c ' ';
-        let sg_path = cur_str c in
-        Some (Set_graft { sg_path; sg_alloc; sg_vol })
-      | _ -> None
-    with Bad -> None
+  Result.to_option
+    (Cursor.parse s (fun c ->
+         match Cursor.word c with
+         | "regv" ->
+           let rv_alloc, rv_vol = cur_vref c in
+           let rv_label = Cursor.str c in
+           Cursor.expect c ' ';
+           let rv_replicas = cur_replicas c in
+           Register_volume { rv_alloc; rv_vol; rv_label; rv_replicas }
+         | "setr" ->
+           let sr_alloc, sr_vol = cur_vref c in
+           let sr_replicas = cur_replicas c in
+           Set_replicas { sr_alloc; sr_vol; sr_replicas }
+         | "graf" ->
+           let sg_alloc, sg_vol = cur_vref c in
+           let sg_path = Cursor.str c in
+           Set_graft { sg_path; sg_alloc; sg_vol }
+         | _ -> raise Cursor.Bad))
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -223,47 +180,43 @@ let snapshot t =
     grafts;
   Buffer.contents b
 
-let restore t s =
-  Hashtbl.reset t.cp_vols;
-  Hashtbl.reset t.cp_grafts;
-  t.cp_applied <- 0;
-  t.cp_bad <- 0;
-  if not (String.equal s "") then begin
-    if String.length s < 4 || not (String.equal (String.sub s 0 4) "cp1 ") then
-      failwith "Control_plane: corrupt snapshot";
-    let c = { c_s = s; c_pos = 4 } in
-    try
-      t.cp_applied <- cur_int c;
-      expect c ' ';
-      t.cp_bad <- cur_int c;
-      expect c ' ';
-      let nvols = cur_int c in
-      for _ = 1 to nvols do
-        expect c ' ';
-        let alloc = cur_int c in
-        expect c ' ';
-        let vol = cur_int c in
-        expect c ' ';
-        let vs_cindex = cur_int c in
-        expect c ' ';
-        let vs_label = cur_str c in
-        expect c ' ';
+let decode_snapshot c =
+  if Cursor.word c <> "cp1" then raise Cursor.Bad;
+  let applied = Cursor.int c in
+  Cursor.expect c ' ';
+  let bad = Cursor.int c in
+  Cursor.expect c ' ';
+  let vols =
+    Cursor.list c (fun c ->
+        let key = cur_vref c in
+        let vs_cindex = Cursor.int c in
+        Cursor.expect c ' ';
+        let vs_label = Cursor.str c in
+        Cursor.expect c ' ';
         let vs_replicas = cur_replicas c in
-        Hashtbl.replace t.cp_vols (alloc, vol)
-          { vs_label; vs_replicas; vs_cindex }
-      done;
-      expect c ' ';
-      let ngrafts = cur_int c in
-      for _ = 1 to ngrafts do
-        expect c ' ';
-        let alloc = cur_int c in
-        expect c ' ';
-        let vol = cur_int c in
-        expect c ' ';
-        let cindex = cur_int c in
-        expect c ' ';
-        let path = cur_str c in
-        Hashtbl.replace t.cp_grafts path ((alloc, vol), cindex)
-      done
-    with Bad -> failwith "Control_plane: corrupt snapshot"
-  end
+        (key, { vs_label; vs_replicas; vs_cindex }))
+  in
+  Cursor.expect c ' ';
+  let grafts =
+    Cursor.list c (fun c ->
+        let key = cur_vref c in
+        let cindex = Cursor.int c in
+        Cursor.expect c ' ';
+        let path = Cursor.str c in
+        (path, (key, cindex)))
+  in
+  (applied, bad, vols, grafts)
+
+let restore t s =
+  let decoded =
+    if String.equal s "" then Ok (0, 0, [], []) else Cursor.parse s decode_snapshot
+  in
+  Result.map
+    (fun (applied, bad, vols, grafts) ->
+      Hashtbl.reset t.cp_vols;
+      Hashtbl.reset t.cp_grafts;
+      t.cp_applied <- applied;
+      t.cp_bad <- bad;
+      List.iter (fun (key, vs) -> Hashtbl.replace t.cp_vols key vs) vols;
+      List.iter (fun (path, tgt) -> Hashtbl.replace t.cp_grafts path tgt) grafts)
+    decoded

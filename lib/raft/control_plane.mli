@@ -31,6 +31,7 @@ type cmd =
 
 val encode_cmd : cmd -> string
 val decode_cmd : string -> cmd option
+(** Total: [None] for any string {!encode_cmd} did not produce. *)
 
 type t
 
@@ -43,8 +44,9 @@ val apply : t -> index:int -> string -> unit
     skipped — a bug, not a crash, in a simulation). *)
 
 val snapshot : t -> string
-val restore : t -> string -> unit
-(** [restore t ""] resets to the initial empty state. *)
+val restore : t -> string -> (unit, string) result
+(** [restore t ""] resets to the initial empty state.  A string
+    {!snapshot} did not produce is an [Error] and leaves [t] as it was. *)
 
 (** {1 Reads} *)
 

@@ -42,7 +42,7 @@ type t = {
   r_peers : string list;  (* the static member list, self included *)
   r_apply : index:int -> string -> unit;
   r_snapshot_fn : unit -> string;
-  r_restore : string -> unit;
+  r_restore : string -> (unit, string) result;
   r_persist : persist option;
   (* Hard state: survives crashes via [r_persist]. *)
   mutable r_term : int;
@@ -159,65 +159,38 @@ let encode_hard t =
     t.r_log;
   Buffer.contents b
 
-let decode_hard s =
-  let pos = ref 0 in
-  let fail () = failwith "Raft: corrupt persisted state" in
-  let expect c =
-    if !pos >= String.length s || s.[!pos] <> c then fail ();
-    incr pos
-  in
-  let int () =
-    let start = !pos in
-    if !pos < String.length s && s.[!pos] = '-' then incr pos;
-    while !pos < String.length s && s.[!pos] >= '0' && s.[!pos] <= '9' do
-      incr pos
-    done;
-    if !pos = start then fail ();
-    int_of_string (String.sub s start (!pos - start))
-  in
-  let str () =
-    let n = int () in
-    expect ':';
-    if n < 0 || !pos + n > String.length s then fail ();
-    let r = String.sub s !pos n in
-    pos := !pos + n;
-    r
-  in
-  if String.length s < 6 || not (String.equal (String.sub s 0 6) "raft1 ") then
-    fail ();
-  pos := 6;
-  let term = int () in
-  expect ' ';
-  let voted = str () in
-  expect ' ';
-  let snap_index = int () in
-  expect ' ';
-  let snap_term = int () in
-  expect ' ';
-  let snap_data = str () in
-  expect ' ';
-  let n = int () in
-  let rec entries k acc =
-    if k = 0 then List.rev acc
-    else begin
-      expect ' ';
-      let e_term = int () in
-      expect ' ';
-      let e_index = int () in
-      expect ' ';
-      let e_span = int () in
-      expect ' ';
-      let e_cmd = str () in
-      entries (k - 1) ({ e_term; e_index; e_cmd; e_span } :: acc)
-    end
-  in
-  let log = entries n [] in
-  ( term,
-    (if String.equal voted "" then None else Some voted),
-    snap_index,
-    snap_term,
-    snap_data,
-    log )
+type hard = int * string option * int * int * string * entry list
+
+let decode_hard s : (hard, string) result =
+  Cursor.parse s (fun c ->
+      if Cursor.word c <> "raft1" then raise Cursor.Bad;
+      let term = Cursor.int c in
+      Cursor.expect c ' ';
+      let voted = Cursor.str c in
+      Cursor.expect c ' ';
+      let snap_index = Cursor.int c in
+      Cursor.expect c ' ';
+      let snap_term = Cursor.int c in
+      Cursor.expect c ' ';
+      let snap_data = Cursor.str c in
+      Cursor.expect c ' ';
+      let log =
+        Cursor.list c (fun c ->
+            let e_term = Cursor.int c in
+            Cursor.expect c ' ';
+            let e_index = Cursor.int c in
+            Cursor.expect c ' ';
+            let e_span = Cursor.int c in
+            Cursor.expect c ' ';
+            let e_cmd = Cursor.str c in
+            { e_term; e_index; e_cmd; e_span })
+      in
+      ( term,
+        (if String.equal voted "" then None else Some voted),
+        snap_index,
+        snap_term,
+        snap_data,
+        log ))
 
 let persist t =
   match t.r_persist with
@@ -225,13 +198,22 @@ let persist t =
   | None -> ()
 
 let load_hard t s =
-  let term, voted, snap_index, snap_term, snap_data, log = decode_hard s in
-  t.r_term <- term;
-  t.r_voted_for <- voted;
-  t.r_snap_index <- snap_index;
-  t.r_snap_term <- snap_term;
-  t.r_snap_data <- snap_data;
-  t.r_log <- log
+  Result.map
+    (fun (term, voted, snap_index, snap_term, snap_data, log) ->
+      t.r_term <- term;
+      t.r_voted_for <- voted;
+      t.r_snap_index <- snap_index;
+      t.r_snap_term <- snap_term;
+      t.r_snap_data <- snap_data;
+      t.r_log <- log)
+    (decode_hard s)
+
+(* A member whose durable state does not decode stops for good rather
+   than vote or replicate from a guess. *)
+let halt t e =
+  Log.err (fun m -> m "%s: corrupt durable state (%s); member stopped" t.r_host e);
+  Metrics.incr (metrics t) "raft.halts";
+  t.r_stopped <- true
 
 (* ------------------------------------------------------------------ *)
 (* Sending                                                             *)
@@ -560,19 +542,25 @@ let handle_snap t ~s_term ~s_from ~s_index ~s_last_term ~s_data =
     t.r_leader <- Some s_from;
     reset_deadline t;
     if s_index > t.r_commit then begin
-      t.r_snap_index <- s_index;
-      t.r_snap_term <- s_last_term;
-      t.r_snap_data <- s_data;
-      (* Keep a log suffix that agrees with the snapshot; otherwise the
-         log is entirely superseded. *)
-      (match term_at t s_index with
-      | Some tm when tm = s_last_term ->
-        t.r_log <- List.filter (fun e -> e.e_index > s_index) t.r_log
-      | _ -> t.r_log <- []);
-      t.r_restore s_data;
-      t.r_applied <- s_index;
-      t.r_commit <- s_index;
-      Metrics.incr (metrics t) "raft.snapshot_installs"
+      match t.r_restore s_data with
+      | Error e ->
+        (* A payload the state machine cannot read is refused: the reply
+           reports the old snapshot index, so the leader sends it again. *)
+        Log.warn (fun m -> m "%s: snapshot from %s refused: %s" t.r_host s_from e);
+        Metrics.incr (metrics t) "raft.snapshots_refused"
+      | Ok () ->
+        t.r_snap_index <- s_index;
+        t.r_snap_term <- s_last_term;
+        t.r_snap_data <- s_data;
+        (* Keep a log suffix that agrees with the snapshot; otherwise the
+           log is entirely superseded. *)
+        (match term_at t s_index with
+        | Some tm when tm = s_last_term ->
+          t.r_log <- List.filter (fun e -> e.e_index > s_index) t.r_log
+        | _ -> t.r_log <- []);
+        t.r_applied <- s_index;
+        t.r_commit <- s_index;
+        Metrics.incr (metrics t) "raft.snapshot_installs"
     end;
     persist t;
     send t ~dst:s_from
@@ -654,26 +642,29 @@ let crash_recover t =
   t.r_votes <- [];
   Hashtbl.reset t.r_next;
   Hashtbl.reset t.r_match;
-  (match t.r_persist with
-  | Some p -> (
-    match p.p_load () with
-    | Some s -> load_hard t s
-    | None ->
+  let loaded =
+    match Option.map (fun p -> p.p_load ()) t.r_persist with
+    | Some (Some s) -> load_hard t s
+    | Some None ->
       (* The durable state vanished: model a wiped disk, back to blank. *)
       t.r_term <- 0;
       t.r_voted_for <- None;
       t.r_log <- [];
       t.r_snap_index <- 0;
       t.r_snap_term <- 0;
-      t.r_snap_data <- "")
-  | None -> ());
+      t.r_snap_data <- "";
+      Ok ()
+    | None -> Ok ()
+  in
   (* Roll the state machine back to the snapshot; committed entries
      above it re-apply as the commit index re-advances. *)
-  t.r_restore t.r_snap_data;
-  t.r_applied <- t.r_snap_index;
-  t.r_commit <- t.r_snap_index;
-  reset_deadline t;
-  Metrics.incr (metrics t) "raft.recoveries"
+  match Result.bind loaded (fun () -> t.r_restore t.r_snap_data) with
+  | Error e -> halt t e
+  | Ok () ->
+    t.r_applied <- t.r_snap_index;
+    t.r_commit <- t.r_snap_index;
+    reset_deadline t;
+    Metrics.incr (metrics t) "raft.recoveries"
 
 let stop t = t.r_stopped <- true
 
@@ -718,15 +709,17 @@ let create ?(config = default_config) ?seed ?persist:p ~obs ~net ~peers ~apply
       r_stopped = false;
     }
   in
-  (match p with
-  | Some p -> (
-    match p.p_load () with
-    | Some s ->
-      load_hard t s;
-      if not (String.equal t.r_snap_data "") then t.r_restore t.r_snap_data;
+  (match Option.bind p (fun p -> p.p_load ()) with
+  | Some s -> (
+    let restored =
+      Result.bind (load_hard t s) (fun () ->
+          if String.equal t.r_snap_data "" then Ok () else t.r_restore t.r_snap_data)
+    in
+    match restored with
+    | Error e -> halt t e
+    | Ok () ->
       t.r_applied <- t.r_snap_index;
-      t.r_commit <- t.r_snap_index
-    | None -> ())
+      t.r_commit <- t.r_snap_index)
   | None -> ());
   reset_deadline t;
   Sim_net.register_handler net id (fun ~src:_ payload -> handle t payload);

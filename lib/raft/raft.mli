@@ -81,7 +81,7 @@ val create :
   peers:string list ->
   apply:(index:int -> string -> unit) ->
   snapshot:(unit -> string) ->
-  restore:(string -> unit) ->
+  restore:(string -> (unit, string) result) ->
   Sim_net.host_id ->
   t
 (** One Raft member on host [id].  [peers] is the full member list by
@@ -89,8 +89,17 @@ val create :
     called exactly once per committed command, in index order (no-ops
     excluded).  [snapshot] must render the state machine after every
     [apply] so far; [restore] must replace it (the empty string restores
-    the initial state).  If [persist] is given, hard state is saved
-    through it and {!create} starts from whatever [p_load] returns. *)
+    the initial state), or leave it alone and return [Error] for a
+    payload it cannot read: such an InstallSnapshot is refused.  If
+    [persist] is given, hard state is saved through it and {!create}
+    starts from whatever [p_load] returns; hard state (or its snapshot)
+    that does not decode stops the member, as {!stop} does. *)
+
+type hard
+(** Decoded hard state: term, vote, snapshot and log. *)
+
+val decode_hard : string -> (hard, string) result
+(** Total: [Error] for any string {!persist} did not write. *)
 
 val host : t -> string
 val config : t -> config
@@ -133,7 +142,8 @@ val crash_recover : t -> unit
     through [persist] (without it the node keeps its in-memory hard
     state), and the state machine is rolled back to the snapshot via
     [restore] — committed-but-unapplied entries are re-applied as the
-    new leader re-advances the commit index. *)
+    new leader re-advances the commit index.  Hard state or a snapshot
+    that does not decode stops the member instead. *)
 
 val stop : t -> unit
 (** Permanently silence the member (handlers drop everything, tick

@@ -89,6 +89,7 @@ let gossip h = h.h_gossip
 let raft_node h = Option.map fst h.h_control
 let control_plane h = Option.map snd h.h_control
 let replicas h = h.h_replicas
+let mounts h = Hashtbl.fold (fun _ m acc -> m :: acc) h.h_mounts []
 
 let replica h vref = Hashtbl.find_opt h.h_replica_idx (vref.Ids.alloc, vref.Ids.vol)
 
@@ -221,14 +222,12 @@ let control_rpc raft cp payload =
   | _ -> None
 
 let create ?(seed = 11) ?(faults = Sim_net.no_faults)
-    ?(disk_blocks = 4096) ?(block_size = 1024) ?ninodes ?disk_blocks_for
-    ?ninodes_for
+    ?(disk_blocks_for = fun _ -> 4096) ?(block_size = 1024) ?ninodes_for
     ?(cache_capacity = 256) ?(propagation_delay = 0) ?(prop_delta = true)
     ?(reconcile_period = 100)
     ?(selection = Logical.Most_recent) ?(journal_blocks = 0) ?gossip
-    ?(indexed = true) ?(control = `Gossip) ?(raft = Raft.default_config)
-    ?(control_wait = 200) ?health ?(dir_merge = `Legacy)
-    ?(resolver = Resolver.Owner_report) ~nhosts () =
+    ?(indexed = true) ?(control = `Gossip) ?(control_wait = 200) ?health
+    ?(dir_merge = `Legacy) ?(resolver = Resolver.Owner_report) ~nhosts () =
   if nhosts <= 0 then invalid_arg "Cluster.create";
   let control_members =
     match control with
@@ -280,13 +279,8 @@ let create ?(seed = 11) ?(faults = Sim_net.no_faults)
     let h_id = Sim_net.add_host net h_name in
     Hashtbl.replace name_to_id h_name h_id;
     Hashtbl.replace name_to_index h_name i;
-    let nblocks =
-      match disk_blocks_for with Some f -> f i | None -> disk_blocks
-    in
-    let h_ninodes =
-      match ninodes_for with Some f -> Some (f i) | None -> ninodes
-    in
-    let h_disk = Disk.create ~label:h_name ~nblocks ~block_size () in
+    let h_ninodes = Option.map (fun f -> f i) ninodes_for in
+    let h_disk = Disk.create ~label:h_name ~nblocks:(disk_blocks_for i) ~block_size () in
     let h_ufs =
       match
         Ufs.mkfs ~cache_capacity ?ninodes:h_ninodes ~journal_blocks
@@ -320,11 +314,11 @@ let create ?(seed = 11) ?(faults = Sim_net.no_faults)
           { Raft.p_save = raft_save h_ufs; p_load = raft_load h_ufs }
         in
         let r =
-          Raft.create ~config:raft ~seed:(seed + (4099 * i)) ~persist ~obs ~net
+          Raft.create ~seed:(seed + (4099 * i)) ~persist ~obs ~net
             ~peers
             ~apply:(fun ~index cmd -> Control_plane.apply cp ~index cmd)
             ~snapshot:(fun () -> Control_plane.snapshot cp)
-            ~restore:(fun s -> Control_plane.restore cp s)
+            ~restore:(Control_plane.restore cp)
             h_id
         in
         Some (r, cp)
@@ -693,9 +687,9 @@ let health_sample t hd =
     ~span:Span.none ~detail:"new-version cache entries across hosts"
 
 (* The watchdog shares the daemons' cron: sample when the period timer
-   is due.  Driven from [tick_daemons] after the mode-specific phase
-   dispatch, so linear and indexed modes sample at identical ticks over
-   identical state and the equivalence qcheck is undisturbed. *)
+   is due.  Driven from [tick_daemons] after the phase loop, so linear
+   and indexed modes sample at identical ticks over identical state and
+   the equivalence qcheck is undisturbed. *)
 let health_tick t =
   match t.health with
   | None -> ()
@@ -721,10 +715,10 @@ let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
    deliver datagrams, run gossip and raft rounds, run propagation, tick
    the periodic reconcilers.
 
-   Linear mode (the seed behavior, kept as the oracle): every daemon of
-   every host runs every tick, relying on each being a cheap no-op when
-   idle.  Indexed mode runs the same phases but consults the
-   ready-queue: a tick on a fully quiescent cluster — no deliverable
+   Both modes run the same phases.  Linear mode (the seed behavior, kept
+   as the oracle) treats every daemon of every host as due every tick,
+   relying on each being a cheap no-op when idle.  Indexed mode consults
+   the ready-queue: a tick on a fully quiescent cluster — no deliverable
    datagrams, no host in [active], no timer due, no journal commit
    staged — returns after one cheap pump and three O(1) checks, and a
    busy tick still skips the hosts whose daemons would no-op.  Each
@@ -732,71 +726,17 @@ let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
    cache, timer not due, nothing staged), so both modes produce
    identical cluster state, metrics and PRNG consumption; the
    equivalence qcheck in the test suite drives random schedules through
-   both and compares everything. *)
-
-let tick_daemons_linear t =
-  let t0 = now_us () in
-  let raft_acts =
-    Array.fold_left
-      (fun acc h ->
-        match h.h_control with
-        | Some (r, _) ->
-          Raft.tick r;
-          acc + 1
-        | None -> acc)
-      0 t.hosts
-  in
-  let t1 = now_us () in
-  let gossip_acts, gossip_work =
-    Array.fold_left
-      (fun (n, w) h ->
-        match h.h_gossip with Some g -> (n + 1, w + Gossip.tick g) | None -> (n, w))
-      (0, 0) t.hosts
-  in
-  (* Datagrams delivered by this (or an earlier) pump may have merged
-     fresh membership; apply it every tick, not just on round ticks. *)
-  sync_peers_from_gossip t;
-  let t2 = now_us () in
-  (* The journal flush daemon runs off the same cron as propagation and
-     reconciliation: age out any staged group commit.  (No-op on
-     unjournaled hosts; an EIO here surfaces on the next operation.) *)
-  Array.iter
-    (fun h -> match Ufs.journal_tick h.h_ufs with Ok () | Error _ -> ())
-    t.hosts;
-  let t3 = now_us () in
-  let pulls = Array.fold_left (fun acc h -> acc + Propagation.run_once h.h_prop) 0 t.hosts in
-  let t4 = now_us () in
-  let recon_acts = ref 0 in
-  let recon =
-    Array.fold_left
-      (fun acc h ->
-        match Recon_daemon.tick h.h_recon with
-        | Some stats ->
-          incr recon_acts;
-          Reconcile.add_stats acc stats
-        | None -> acc)
-      Reconcile.empty_stats t.hosts
-  in
-  let t5 = now_us () in
-  let prof = t.profile in
-  Health.Profile.record prof ~daemon:"raft" ~activations:raft_acts ~work:0 ~us:(t1 - t0);
-  Health.Profile.record prof ~daemon:"gossip" ~activations:gossip_acts ~work:gossip_work
-    ~us:(t2 - t1);
-  Health.Profile.record prof ~daemon:"journal" ~activations:(Array.length t.hosts) ~work:0
-    ~us:(t3 - t2);
-  Health.Profile.record prof ~daemon:"prop" ~activations:(Array.length t.hosts) ~work:pulls
-    ~us:(t4 - t3);
-  Health.Profile.record prof ~daemon:"recon" ~activations:!recon_acts
-    ~work:(recon.Reconcile.dirs_merged + recon.Reconcile.files_pulled)
-    ~us:(t5 - t4);
-  (pulls, recon)
+   both and so tests exactly these skip decisions. *)
 
 let any_journal_pending t =
   t.journaled && Array.exists (fun h -> Ufs.journal_pending h.h_ufs) t.hosts
 
-let tick_daemons_indexed t =
+let run_daemons t =
   let now = Clock.now t.clock in
-  if Hashtbl.length t.active = 0 && now < !(t.timer_wake) && not (any_journal_pending t)
+  let all = not t.indexed in
+  let due next = all || next <= now in
+  if t.indexed && Hashtbl.length t.active = 0 && now < !(t.timer_wake)
+     && not (any_journal_pending t)
   then (0, Reconcile.empty_stats)
   else begin
     let t0 = now_us () in
@@ -804,7 +744,7 @@ let tick_daemons_indexed t =
       Array.fold_left
         (fun acc h ->
           match h.h_control with
-          | Some (r, _) when Raft.next_due r <= now ->
+          | Some (r, _) when due (Raft.next_due r) ->
             Raft.tick r;
             acc + 1
           | Some _ | None -> acc)
@@ -815,16 +755,21 @@ let tick_daemons_indexed t =
       Array.fold_left
         (fun (n, w) h ->
           match h.h_gossip with
-          | Some g when Gossip.next_due g <= now -> (n + 1, w + Gossip.tick g)
+          | Some g when due (Gossip.next_due g) -> (n + 1, w + Gossip.tick g)
           | Some _ | None -> (n, w))
         (0, 0) t.hosts
     in
+    (* Datagrams delivered by this (or an earlier) pump may have merged
+       fresh membership; apply it every tick, not just on round ticks. *)
     sync_peers_from_gossip t;
     let t2 = now_us () in
+    (* The journal flush daemon runs off the same cron as propagation and
+       reconciliation: age out any staged group commit.  (An EIO here
+       surfaces on the next operation.) *)
     let journal_acts = ref 0 in
     Array.iter
       (fun h ->
-        if Ufs.journal_pending h.h_ufs then begin
+        if all || Ufs.journal_pending h.h_ufs then begin
           incr journal_acts;
           match Ufs.journal_tick h.h_ufs with Ok () | Error _ -> ()
         end)
@@ -834,7 +779,7 @@ let tick_daemons_indexed t =
     let pulls =
       Array.fold_left
         (fun acc h ->
-          if Propagation.pending h.h_prop > 0 then begin
+          if all || Propagation.pending h.h_prop > 0 then begin
             incr prop_acts;
             acc + Propagation.run_once h.h_prop
           end
@@ -846,7 +791,7 @@ let tick_daemons_indexed t =
     let recon =
       Array.fold_left
         (fun acc h ->
-          if Recon_daemon.next_due h.h_recon <= now then
+          if due (Recon_daemon.next_due h.h_recon) then
             match Recon_daemon.tick h.h_recon with
             | Some stats ->
               incr recon_acts;
@@ -869,30 +814,32 @@ let tick_daemons_indexed t =
       ~us:(t5 - t4);
     (* Requiesce: hosts that still owe propagation work stay runnable;
        everyone else sleeps until the earliest timer anywhere. *)
-    Hashtbl.reset t.active;
-    let wake = ref max_int in
-    Array.iter
-      (fun h ->
-        if Propagation.pending h.h_prop > 0 then Hashtbl.replace t.active h.h_index ();
-        let due = Recon_daemon.next_due h.h_recon in
-        let due =
-          match h.h_gossip with Some g -> min due (Gossip.next_due g) | None -> due
-        in
-        let due =
-          match h.h_control with
-          | Some (r, _) -> min due (Raft.next_due r)
-          | None -> due
-        in
-        if due < !wake then wake := due)
-      t.hosts;
-    t.timer_wake := !wake;
+    if t.indexed then begin
+      Hashtbl.reset t.active;
+      let wake = ref max_int in
+      Array.iter
+        (fun h ->
+          if Propagation.pending h.h_prop > 0 then Hashtbl.replace t.active h.h_index ();
+          let due = Recon_daemon.next_due h.h_recon in
+          let due =
+            match h.h_gossip with Some g -> min due (Gossip.next_due g) | None -> due
+          in
+          let due =
+            match h.h_control with
+            | Some (r, _) -> min due (Raft.next_due r)
+            | None -> due
+          in
+          if due < !wake then wake := due)
+        t.hosts;
+      t.timer_wake := !wake
+    end;
     (pulls, recon)
   end
 
 let tick_daemons t ticks =
   Clock.advance t.clock ticks;
   let (_ : int) = pump t in
-  let r = if t.indexed then tick_daemons_indexed t else tick_daemons_linear t in
+  let r = run_daemons t in
   health_tick t;
   r
 

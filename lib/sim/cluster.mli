@@ -15,10 +15,8 @@ type t
 val create :
   ?seed:int ->
   ?faults:Sim_net.faults ->
-  ?disk_blocks:int ->
-  ?block_size:int ->
-  ?ninodes:int ->
   ?disk_blocks_for:(int -> int) ->
+  ?block_size:int ->
   ?ninodes_for:(int -> int) ->
   ?cache_capacity:int ->
   ?propagation_delay:int ->
@@ -29,7 +27,6 @@ val create :
   ?gossip:Gossip.config ->
   ?indexed:bool ->
   ?control:[ `Gossip | `Raft of int list ] ->
-  ?raft:Raft.config ->
   ?control_wait:int ->
   ?health:Health.config ->
   ?dir_merge:[ `Legacy | `Crdt ] ->
@@ -54,17 +51,14 @@ val create :
     peer lists are re-derived from each host's own membership table
     instead of being pushed.
 
-    [ninodes] is forwarded to {!Ufs.mkfs} (default: derived from the
-    disk size) — large synthetic workloads need more inodes than the
-    derived count.
-
-    [disk_blocks_for] / [ninodes_for] size individual hosts' disks by
-    host index, overriding [disk_blocks] / [ninodes] where given.  A
-    large cluster in which only a few hosts store replicas can give the
-    idle majority small disks — the simulator's per-host disk arrays
-    are eagerly allocated, so uniform sizing makes cluster construction
-    (and its memory footprint) scale with [nhosts * disk_blocks] even
-    when most hosts never store a byte.
+    [disk_blocks_for] (default: 4096 blocks each) and [ninodes_for]
+    (default: derived from the disk size, via {!Ufs.mkfs}) size each
+    host's disk by host index.  A large cluster in which only a few
+    hosts store replicas can give the idle majority small disks — the
+    simulator's per-host disk arrays are eagerly allocated, so uniform
+    sizing makes cluster construction (and its memory footprint) scale
+    with [nhosts * disk_blocks] even when most hosts never store a
+    byte.
 
     [indexed] (default [true]) selects the simulator's indexed hot
     paths: the network uses an event queue keyed by delivery tick
@@ -90,8 +84,7 @@ val create :
     ({!logical_root}) resolves a stale graft point from whichever view,
     gossip or coordinator, carries the higher committed index.  File
     {e data} never touches consensus: one-copy availability is
-    unchanged.  [raft] overrides timing/compaction
-    ({!Raft.default_config}).
+    unchanged.  Members run {!Raft.default_config}.
 
     [health] (default: absent) arms the convergence watchdog: every
     [config.period] ticks of {!tick_daemons} the cluster derives live
@@ -151,6 +144,9 @@ val raft_leader : t -> int option
 
 val replicas : host -> (Ids.volume_ref * Physical.t) list
 val replica : host -> Ids.volume_ref -> Physical.t option
+
+val mounts : host -> Nfs_client.m list
+(** The NFS mounts this host's daemons and logical layer opened. *)
 
 val membership_converged : t -> bool
 (** Do all gossip-enabled hosts hold the same membership view

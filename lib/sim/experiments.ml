@@ -430,7 +430,7 @@ let e7_conflict_rarity () =
 
 let e8_shadow_commit () =
   let run size =
-    let cluster = Cluster.create ~nhosts:2 ~disk_blocks:16384 () in
+    let cluster = Cluster.create ~nhosts:2 ~disk_blocks_for:(fun _ -> 16384) () in
     let vref = get (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
     let root0 = get (Cluster.logical_root cluster 0 vref) in
     let f = get (root0.Vnode.create "big") in
@@ -1403,7 +1403,7 @@ let obslag_propagation_lag () =
 
 let reconscale_incremental_recon () =
   let cluster =
-    Cluster.create ~selection:Logical.Prefer_local ~disk_blocks:65536
+    Cluster.create ~selection:Logical.Prefer_local ~disk_blocks_for:(fun _ -> 65536)
       ~cache_capacity:4096 ~nhosts:2 ()
   in
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
@@ -2199,8 +2199,8 @@ let scale_replay ?trace_out ~ops ~nhosts () =
    takes the ready-queue fast path.  Ticks/second, wall-clock. *)
 let scale_quiescent ~nhosts ~indexed =
   let cluster =
-    Cluster.create ~seed:777 ~nhosts ~indexed ~disk_blocks:256 ~block_size:512
-      ~reconcile_period:1_000_000 ()
+    Cluster.create ~seed:777 ~nhosts ~indexed ~disk_blocks_for:(fun _ -> 256)
+      ~block_size:512 ~reconcile_period:1_000_000 ()
   in
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1; 2; 3 ]) in
   let root = get (Cluster.logical_root cluster 0 vref) in
@@ -2357,7 +2357,7 @@ let delta_arm ~delta ~size =
     (* 4 KiB blocks: the UFS block map (12 direct + one indirect) tops
        out at ~268 KiB on 1 KiB blocks — too small for a multi-MB file. *)
     Cluster.create ~prop_delta:delta ~selection:Logical.Prefer_local
-      ~disk_blocks:4096 ~block_size:4096 ~cache_capacity:4096 ~nhosts:2 ()
+      ~disk_blocks_for:(fun _ -> 4096) ~block_size:4096 ~cache_capacity:4096 ~nhosts:2 ()
   in
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
   let root0 = get (Cluster.logical_root cluster 0 vref) in

@@ -1,36 +1,34 @@
-type t = (string, int ref) Hashtbl.t
+(* A cell knows the parent set's cell of the same name, linked once when
+   the cell is first made, so one [add] bumps the whole chain with a
+   single hash probe and no allocation. *)
+type cell = { mutable n : int; up : cell option }
 
-let create () : t = Hashtbl.create 16
+type t = { cells : (string, cell) Hashtbl.t; parent : t option }
 
-let cell t name =
-  match Hashtbl.find_opt t name with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.add t name r;
-    r
+let create () = { cells = Hashtbl.create 16; parent = None }
+let child parent = { cells = Hashtbl.create 16; parent = Some parent }
 
-let add t name n = cell t name := !(cell t name) + n
+let rec cell t name =
+  match Hashtbl.find t.cells name with
+  | c -> c
+  | exception Not_found ->
+    let up = match t.parent with None -> None | Some p -> Some (cell p name) in
+    let c = { n = 0; up } in
+    Hashtbl.add t.cells name c;
+    c
+
+let rec bump c k =
+  c.n <- c.n + k;
+  match c.up with None -> () | Some p -> bump p k
+
+let add t name k = bump (cell t name) k
 
 let incr t name = add t name 1
 
-let get t name = match Hashtbl.find_opt t name with None -> 0 | Some r -> !r
+let get t name = match Hashtbl.find t.cells name with c -> c.n | exception Not_found -> 0
 
-let reset t = Hashtbl.iter (fun _ r -> r := 0) t
+let reset t = Hashtbl.iter (fun _ c -> c.n <- 0) t.cells
 
 let snapshot t =
-  Hashtbl.fold (fun name r acc -> if !r = 0 then acc else (name, !r) :: acc) t []
+  Hashtbl.fold (fun name c acc -> if c.n = 0 then acc else (name, c.n) :: acc) t.cells []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let diff ~before ~after =
-  let lookup name l = match List.assoc_opt name l with None -> 0 | Some n -> n in
-  let names = List.sort_uniq String.compare (List.map fst before @ List.map fst after) in
-  List.filter_map
-    (fun name ->
-      let d = lookup name after - lookup name before in
-      if d = 0 then None else Some (name, d))
-    names
-
-let pp ppf t =
-  let pp_one ppf (name, n) = Fmt.pf ppf "%s=%d" name n in
-  Fmt.pf ppf "%a" Fmt.(list ~sep:(any ", ") pp_one) (snapshot t)

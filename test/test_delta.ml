@@ -22,7 +22,7 @@ let synth ?(seed = "delta") n =
 let big_cluster ?(delta = true) ?(size = 256 * 1024) () =
   let cluster =
     Cluster.create ~prop_delta:delta ~selection:Logical.Prefer_local
-      ~disk_blocks:2048 ~block_size:4096 ~cache_capacity:2048 ~nhosts:2 ()
+      ~disk_blocks_for:(fun _ -> 2048) ~block_size:4096 ~cache_capacity:2048 ~nhosts:2 ()
   in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
   let root0 = ok (Cluster.logical_root cluster 0 vref) in

@@ -193,6 +193,58 @@ let test_stats_ctl_local_and_nfs () =
   Alcotest.(check bool) "stats op counted" true
     (contains_sub body_nfs "phys.ctl.stats")
 
+(* Every component's counter set is a child of the cluster registry:
+   summed over the components, each key equals the registry's value, so
+   no event is counted twice or lost on the way. *)
+let test_counted_once () =
+  (* Propagation waits 150 ticks, so the reconciler (every 100) reaches
+     the first updates first: its active pass runs the CRDT tree repair.
+     No host is ever unreachable, so every mount that counted an RPC is
+     still held by its host. *)
+  let cluster =
+    Cluster.create ~nhosts:3 ~dir_merge:`Crdt ~propagation_delay:150 ~reconcile_period:100 ()
+  in
+  let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
+  let root0 = ok (Cluster.logical_root cluster 0 vref) in
+  let root2 = ok (Cluster.logical_root cluster 2 vref) in
+  create_file root0 "local" "written at a replica";
+  (* Host2 stores no replica: its writes cross NFS. *)
+  create_file root2 "remote" "written across NFS";
+  ignore (Cluster.tick_daemons cluster 100);
+  create_file root2 "later" "propagated";
+  for _ = 1 to 4 do
+    ignore (Cluster.tick_daemons cluster 100)
+  done;
+  let sets =
+    List.concat_map
+      (fun h ->
+        [ Logical.counters (Cluster.logical h);
+          Propagation.counters (Cluster.propagation h);
+          Recon_daemon.counters (Cluster.reconciler h) ]
+        @ List.map (fun (_, p) -> Physical.counters p) (Cluster.replicas h)
+        @ List.map Nfs_client.counters (Cluster.mounts h))
+      (List.init 3 (Cluster.host cluster))
+  in
+  let m = (Cluster.obs cluster).Obs.metrics in
+  let keys =
+    List.sort_uniq compare (List.concat_map (fun c -> List.map fst (Counters.snapshot c)) sets)
+  in
+  List.iter
+    (fun k ->
+      Alcotest.(check int) k (Metrics.counter m k)
+        (List.fold_left (fun acc c -> acc + Counters.get c k) 0 sets))
+    keys;
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " counted") true (List.mem k keys))
+    [ "logical.ops"; "phys.update"; "nfs.client.calls"; "prop.bytes"; "recon.passes";
+      "crdt.merges" ];
+  let body = ok (Remote.stats root2) in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " in the stats body") true
+        (contains_sub body ("counter " ^ k ^ " ")))
+    [ "phys.update"; "logical.ops"; "nfs.client.calls" ]
+
 (* ---------------- retention, eviction status, export hook ---------------- *)
 
 let test_span_status_evicted_vs_unknown () =
@@ -255,6 +307,7 @@ let suite =
     case "snapshot and text rendering" test_snapshot_render;
     case "span timeline: cross-host update under faults" test_span_timeline_cross_host;
     case "stats ctl-name: local and NFS-interposed" test_stats_ctl_local_and_nfs;
+    case "component counters are counted once, in the registry" test_counted_once;
     case "span status: evicted vs unknown" test_span_status_evicted_vs_unknown;
     case "export hook: full record before eviction" test_export_hook_sees_full_record;
     case "spans.evicted surfaces in the metrics registry" test_evictions_counted_in_registry;

@@ -54,7 +54,8 @@ let mk_group ?(config = Raft.default_config) ~seed n =
                   ~restore:(fun s ->
                     (Lazy.force node).n_state <-
                       (if s = "" then []
-                       else List.rev (String.split_on_char ',' s)))
+                       else List.rev (String.split_on_char ',' s));
+                    Ok ())
                   id;
               n_id = id;
               n_state = [];
@@ -344,11 +345,131 @@ let raft_safety_prop (seed, events) =
     QCheck.Test.fail_report "a committed command vanished";
   true
 
+(* ------------------------------------------------------------------ *)
+(* Decoders: total over any input                                      *)
+
+(* Hard states a compacting group really persisted: votes, snapshots
+   and log suffixes. *)
+let persisted_hard_states =
+  lazy
+    (let g = mk_group ~config:{ Raft.default_config with snapshot_threshold = 4 } ~seed:5 3 in
+     for i = 1 to 10 do
+       ignore (submit_ok g (Printf.sprintf "c%d" i));
+       steps g 5
+     done;
+     Array.to_list g.g_nodes |> List.filter_map (fun n -> !(n.n_store)))
+
+let cmd_gen =
+  QCheck.Gen.(
+    let name = string_size ~gen:printable (int_bound 6) in
+    let reps = list_size (int_bound 3) (pair small_nat name) in
+    oneof
+      [ map3
+          (fun rv_alloc rv_vol (rv_label, rv_replicas) ->
+            Control_plane.Register_volume { rv_alloc; rv_vol; rv_label; rv_replicas })
+          small_nat small_nat (pair name reps);
+        map3
+          (fun sr_alloc sr_vol sr_replicas ->
+            Control_plane.Set_replicas { sr_alloc; sr_vol; sr_replicas })
+          small_nat small_nat reps;
+        map3
+          (fun sg_alloc sg_vol sg_path ->
+            Control_plane.Set_graft { sg_path; sg_alloc; sg_vol })
+          small_nat small_nat name ])
+
+let snapshot_of cmds =
+  let cp = Control_plane.create () in
+  List.iteri
+    (fun i c -> Control_plane.apply cp ~index:(i + 1) (Control_plane.encode_cmd c))
+    cmds;
+  Control_plane.snapshot cp
+
+(* Valid encodings of all three kinds with one byte replaced, and random
+   token strings behind each format's tag: separators and digit runs up
+   to 25 long, past the range of an int. *)
+let decoder_input_gen =
+  QCheck.Gen.(
+    let mutated =
+      let* cmds = list_size (int_range 1 4) cmd_gen in
+      let* valid =
+        oneofl
+          (Control_plane.encode_cmd (List.hd cmds) :: snapshot_of cmds
+          :: Lazy.force persisted_hard_states)
+      in
+      let* pos = int_bound (String.length valid - 1) in
+      let* byte = oneof [ char; oneofl [ ' '; ':'; '-'; '0'; '9' ] ] in
+      return (String.mapi (fun i ch -> if i = pos then byte else ch) valid)
+    in
+    let random =
+      let* tag = oneofl [ ""; "raft1 "; "cp1 "; "regv "; "setr "; "graf " ] in
+      let token =
+        oneof [ string_size ~gen:numeral (int_range 1 25); oneofl [ " "; ":"; "-"; "x" ] ]
+      in
+      let* body = list_size (int_bound 20) token in
+      return (tag ^ String.concat "" body)
+    in
+    oneof [ mutated; random ])
+
+let decoders_total s =
+  let total f = match f s with _ -> true | exception _ -> false in
+  let cp = Control_plane.create () in
+  Control_plane.apply cp ~index:1
+    (Control_plane.encode_cmd
+       (Control_plane.Set_graft { sg_path = "p"; sg_alloc = 0; sg_vol = 1 }));
+  let before = Control_plane.snapshot cp in
+  total Control_plane.decode_cmd
+  && total Raft.decode_hard
+  && (match Control_plane.restore cp s with
+      | Ok () -> true
+      | Error _ -> String.equal (Control_plane.snapshot cp) before
+      | exception _ -> false)
+
+let test_decoders_accept_encodings () =
+  let cmds = QCheck.Gen.generate ~rand:(Random.State.make [| 3 |]) ~n:50 cmd_gen in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) "command roundtrip" true
+        (Control_plane.decode_cmd (Control_plane.encode_cmd c) = Some c))
+    cmds;
+  let snap = snapshot_of cmds in
+  let cp = Control_plane.create () in
+  Alcotest.(check bool) "snapshot restores" true (Control_plane.restore cp snap = Ok ());
+  Alcotest.(check string) "snapshot roundtrip" snap (Control_plane.snapshot cp);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "hard state decodes" true (Result.is_ok (Raft.decode_hard s)))
+    (Lazy.force persisted_hard_states);
+  (* An int past max_int is malformed, not an exception. *)
+  Alcotest.(check bool) "overflowing int" true
+    (Control_plane.decode_cmd "setr 99999999999999999999999 1 0" = None)
+
+(* A member whose persisted hard state does not decode stops instead of
+   running on a guess; so does one whose snapshot the machine refuses. *)
+let test_corrupt_hard_state_stops () =
+  let clock = Clock.create () in
+  let net = Sim_net.create ~seed:1 clock in
+  let id = Sim_net.add_host net "m0" in
+  let member ~load ~restore =
+    Raft.create ~obs:(Obs.create ()) ~net ~peers:[ "m0" ]
+      ~persist:{ Raft.p_save = ignore; p_load = (fun () -> Some load) }
+      ~apply:(fun ~index:_ _ -> ()) ~snapshot:(fun () -> "") ~restore id
+  in
+  let r = member ~load:"raft1 1 0: 0 0 0: 99999999999999999999" ~restore:(fun _ -> Ok ()) in
+  Alcotest.(check bool) "corrupt hard state: stopped" true (Raft.stopped r);
+  let r = member ~load:"raft1 1 0: 5 1 3:bad 0" ~restore:(fun _ -> Error "unreadable") in
+  Alcotest.(check bool) "unreadable snapshot: stopped" true (Raft.stopped r);
+  let r = member ~load:"raft1 1 0: 5 1 3:bad 0" ~restore:(fun _ -> Ok ()) in
+  Alcotest.(check bool) "readable state: running" false (Raft.stopped r);
+  Alcotest.(check int) "snapshot index loaded" 5 (Raft.snapshot_index r)
+
 let props =
   [
     QCheck.Test.make ~name:"raft safety under random schedules" ~count:60
       (QCheck.make ~print:print_schedule (schedule_gen 5))
       raft_safety_prop;
+    QCheck.Test.make ~name:"raft and control-plane decoders never raise" ~count:500
+      (QCheck.make ~print:String.escaped decoder_input_gen)
+      decoders_total;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -426,4 +547,8 @@ let suite =
         test_snapshot_catchup;
       Alcotest.test_case "control plane survives UFS crash_reboot" `Quick
         test_cluster_reboot_durability;
+      Alcotest.test_case "decoders accept what the encoders write" `Quick
+        test_decoders_accept_encodings;
+      Alcotest.test_case "corrupt durable state stops the member" `Quick
+        test_corrupt_hard_state_stops;
     ]

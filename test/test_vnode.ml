@@ -82,12 +82,55 @@ let test_counters () =
   Alcotest.(check int) "a" 5 (Counters.get c "a");
   Alcotest.(check int) "missing" 0 (Counters.get c "zz");
   Alcotest.(check (list (pair string int))) "snapshot" [ ("a", 5); ("b", 1) ] (Counters.snapshot c);
-  let before = Counters.snapshot c in
-  Counters.add c "a" 2;
-  Alcotest.(check (list (pair string int))) "diff" [ ("a", 2) ]
-    (Counters.diff ~before ~after:(Counters.snapshot c));
   Counters.reset c;
   Alcotest.(check int) "reset" 0 (Counters.get c "a")
+
+(* Random incr/add/reset on a root (set 0) and two children (sets 1, 2),
+   against a model: a child holds its own adds since its last reset; the
+   root holds every add to itself or to either child since the root's
+   last reset.  Snapshots are sorted and hold no zero. *)
+type counter_op = Add of int * string * int | Reset of int
+
+let counter_op_gen =
+  QCheck.Gen.(
+    let set = int_bound 2 and key = oneofl [ "a"; "b"; "c" ] in
+    frequency
+      [ (6, map3 (fun s k n -> Add (s, k, n)) set key (int_range (-3) 5));
+        (1, map (fun s -> Reset s) set) ])
+
+let print_counter_op = function
+  | Add (s, k, n) -> Printf.sprintf "add %d %s %d" s k n
+  | Reset s -> Printf.sprintf "reset %d" s
+
+let counters_children_law =
+  QCheck.Test.make ~name:"counters: children add into their root" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_counter_op)
+       QCheck.Gen.(list_size (int_bound 40) counter_op_gen))
+    (fun ops ->
+      let root = Counters.create () in
+      let sets = [| root; Counters.child root; Counters.child root |] in
+      let model = Array.init 3 (fun _ -> Hashtbl.create 4) in
+      let value m k = Option.value (Hashtbl.find_opt m k) ~default:0 in
+      let bump s k n = Hashtbl.replace model.(s) k (n + value model.(s) k) in
+      List.iter
+        (function
+          | Add (s, k, n) ->
+            if n = 1 then Counters.incr sets.(s) k else Counters.add sets.(s) k n;
+            bump s k n;
+            if s > 0 then bump 0 k n
+          | Reset s ->
+            Counters.reset sets.(s);
+            Hashtbl.reset model.(s))
+        ops;
+      Array.for_all2
+        (fun set m ->
+          let expected =
+            Hashtbl.fold (fun k n acc -> if n = 0 then acc else (k, n) :: acc) m []
+            |> List.sort compare
+          in
+          Counters.snapshot set = expected
+          && List.for_all (fun k -> Counters.get set k = value m k) [ "a"; "b"; "c" ])
+        sets model)
 
 let suite =
   [
@@ -100,4 +143,5 @@ let suite =
     case "namei walk" test_namei_walk;
     case "namei mkdir_p idempotent" test_namei_mkdir_p_idempotent;
     case "counters" test_counters;
+    QCheck_alcotest.to_alcotest counters_children_law;
   ]
